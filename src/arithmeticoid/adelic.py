@@ -6,6 +6,10 @@ finite Beltrami exponent by p^shift and is materialized per place on demand).
 On top of the space: the L*-action, the unit (Lubin-Tate) action on concrete
 layers, a metric, normalization coordinates, the product-formula hyperplane
 and period map, and the toy mutation of Tate parameters.
+
+The canonical place order (archimedean first, then finite by prime and
+conjugate index) lives in numfield; `canonical_place_list` and `place_index`
+are re-exported from there.
 """
 
 from __future__ import annotations
@@ -14,58 +18,38 @@ import math
 from dataclasses import dataclass, field as dc_field, replace
 from fractions import Fraction
 
-from sympy import primerange
-
 from .numfield import (
     FieldElement,
     InfiniteOrder,
     NumberField,
     Place,
     archimedean_place,
+    canonical_place_list,
     ord as ord_at,
+    place_from_json,
+    place_index,
+    place_key,
     places_over,
+    prime_exponents,
 )
 from .ffcurve import (
     LocalPoint,
     LocalPointArch,
     LocalPointNonArch,
     arch_act,
+    curve_log_abs,
     frobenius_point,
+    local_distance,
     standard_point,
 )
 from .tilt import lubin_tate_act
 
 DISTANCE_PREFIX = 60  # indices always summed; tail error < 2^-60
+DISTANCE_LIMIT = 1074  # 2.0 ** -n == 0.0 for every later index n
 
 
 class AdelicError(ValueError):
     """Domain violation in the adelic space."""
-
-
-# ---------------------------------------------------------------------------
-# canonical place enumeration: archimedean first, then finite by (prime, conjugate)
-
-_PLACE_CACHE: dict = {}
-
-
-def canonical_place_list(field: NumberField, count: int) -> list[Place]:
-    """The first `count` places in the canonical stable enumeration."""
-    cached = _PLACE_CACHE.setdefault(field, [archimedean_place(field)])
-    p = cached[-1].prime if not cached[-1].is_archimedean else 1
-    while len(cached) < count:
-        p = int(next(primerange(p + 1, 2 * p + 3)))
-        cached.extend(places_over(field, p))
-    return cached[:count]
-
-
-def place_index(v: Place) -> int:
-    """1-based position of a place in the canonical enumeration."""
-    if v.is_archimedean:
-        return 1
-    n = 1
-    for q in primerange(2, v.prime):
-        n += len(places_over(v.field, int(q)))
-    return n + 1 + v.conjugate_index
 
 
 # ---------------------------------------------------------------------------
@@ -110,18 +94,12 @@ class Arithmeticoid:
         return [v for v, _ in self.deviations]
 
 
-def _sorted_deviations(entries: dict) -> tuple:
-    return tuple(sorted(entries.items(), key=lambda kv: place_index(kv[0])))
-
-
 def make_arithmeticoid(field: NumberField, deviations: dict | None = None,
                        frobenius_shift: int = 0, label: str = "") -> Arithmeticoid:
     """Normalize and prune: stored deviations must differ from the standard point."""
-    entries = {}
-    for v, pt in (deviations or {}).items():
-        if pt != standard_point(v):
-            entries[v] = pt
-    return Arithmeticoid(field, _sorted_deviations(entries), frobenius_shift, label)
+    entries = [(v, pt) for v, pt in (deviations or {}).items() if pt != standard_point(v)]
+    entries.sort(key=lambda kv: place_key(kv[0]))
+    return Arithmeticoid(field, tuple(entries), frobenius_shift, label)
 
 
 def standard_arithmeticoid(field: NumberField, label: str = "y0") -> Arithmeticoid:
@@ -131,14 +109,9 @@ def standard_arithmeticoid(field: NumberField, label: str = "y0") -> Arithmetico
 def deform(y: Arithmeticoid, v: Place, pt: LocalPoint, label: str | None = None) -> Arithmeticoid:
     """Replace the local component at v (pre-shift data), pruning standard points."""
     entries = y.deviation_map()
-    if pt == standard_point(v):
-        entries.pop(v, None)
-    else:
-        entries[v] = pt
-    return Arithmeticoid(
-        y.field, _sorted_deviations(entries), y.frobenius_shift,
-        label if label is not None else y.label,
-    )
+    entries[v] = pt
+    return make_arithmeticoid(y.field, entries, y.frobenius_shift,
+                              label if label is not None else y.label)
 
 
 # ---------------------------------------------------------------------------
@@ -178,23 +151,13 @@ def lstar_act(x: FieldElement, y: Arithmeticoid) -> Arithmeticoid:
         raise AdelicError("L* action needs x != 0")
     entries = y.deviation_map()
     for v, o in divisor_support(x):
-        base = entries.get(v, standard_point(v))
-        moved = frobenius_point(base, o)
-        if moved == standard_point(v):
-            entries.pop(v, None)
-        else:
-            entries[v] = moved
+        entries[v] = frobenius_point(entries.get(v, standard_point(v)), o)
     arch = archimedean_place(y.field)
     modulus = float(abs(x.norm()))  # Artin |x|_v at the (complex or real) place
     if modulus != 1.0:
-        base = entries.get(arch, standard_point(arch))
-        moved = arch_act(modulus, base)
-        if moved == standard_point(arch):
-            entries.pop(arch, None)
-        else:
-            entries[arch] = moved
+        entries[arch] = arch_act(modulus, entries.get(arch, standard_point(arch)))
     label = f"{x}.{y.label}" if y.label else ""
-    return Arithmeticoid(y.field, _sorted_deviations(entries), y.frobenius_shift, label)
+    return make_arithmeticoid(y.field, entries, y.frobenius_shift, label)
 
 
 def stabilizer_check(x: FieldElement, y: Arithmeticoid) -> bool:
@@ -218,37 +181,32 @@ def aut_act(units: dict, y: Arithmeticoid) -> Arithmeticoid:
         if pt is None or isinstance(pt, LocalPointArch) or pt.concrete is None:
             raise AdelicError(f"aut_act needs a concrete layer at {v}")
         entries[v] = LocalPointNonArch(v, pt.e, lubin_tate_act(u, pt.concrete))
-    return Arithmeticoid(y.field, _sorted_deviations(entries), y.frobenius_shift, y.label)
+    return make_arithmeticoid(y.field, entries, y.frobenius_shift, y.label)
 
 
 # ---------------------------------------------------------------------------
 # metric
-
-def _per_place_distance(y1: Arithmeticoid, y2: Arithmeticoid, v: Place) -> float:
-    a, b = y1.component(v), y2.component(v)
-    if v.is_archimedean:
-        return abs(math.log(a.s) - math.log(b.s))
-    r = a.e / b.e
-    return abs(math.log(r.numerator) - math.log(r.denominator))
-
 
 def distance(y1: Arithmeticoid, y2: Arithmeticoid) -> float:
     """sum_n 2^-n d_n/(1+d_n) over the canonical enumeration.
 
     Deterministic truncation: the first DISTANCE_PREFIX indices are always
     summed, plus every index carrying an explicit deviation of either argument;
-    the omitted tail is bounded by 2^-DISTANCE_PREFIX.
+    the omitted tail is bounded by 2^-DISTANCE_PREFIX.  Indices are looked up
+    among the first DISTANCE_LIMIT = 1074 places only: 2.0 ** -n is 0.0 in
+    double precision for n >= 1075, so a deviation further out adds exactly 0.0.
     """
     if y1.field != y2.field:
         raise AdelicError("distance needs a common field")
-    indices = {place_index(v): v for v in y1.support()}
-    indices.update({place_index(v): v for v in y2.support()})
-    prefix = canonical_place_list(y1.field, DISTANCE_PREFIX)
-    for n, v in enumerate(prefix, start=1):
-        indices[n] = v
+    places = canonical_place_list(y1.field, DISTANCE_LIMIT)
+    last = place_key(places[-1])
+    indices = set(range(1, DISTANCE_PREFIX + 1))
+    indices.update(place_index(v) for v in y1.support() + y2.support()
+                   if place_key(v) <= last)
     total = 0.0
     for n in sorted(indices):
-        d = _per_place_distance(y1, y2, indices[n])
+        v = places[n - 1]
+        d = local_distance(y1.component(v), y2.component(v))
         if d:
             total += 2.0 ** (-n) * d / (1.0 + d)
     return total
@@ -275,10 +233,7 @@ class NormalizationCoordinate:
     def at(self, v: Place):
         if v.is_archimedean:
             return self.arch
-        for w, a in self.overrides:
-            if w == v:
-                return a
-        return Fraction(v.prime) ** (-self.shift)
+        return dict(self.overrides).get(v, Fraction(v.prime) ** (-self.shift))
 
 
 def normalization_coordinate(y: Arithmeticoid) -> NormalizationCoordinate:
@@ -310,15 +265,11 @@ class HyperplanePoint:
         c = self.coords
         if c.arch != 1.0:
             return c.arch
-        override_map = {place_index(v): a for v, a in c.overrides}
         if c.shift == 0:
-            if not override_map:
-                return Fraction(1)
-            return override_map[min(override_map)]
+            return min(c.overrides, key=lambda t: place_key(t[0]), default=(None, Fraction(1)))[1]
         # shift rule: every finite coordinate differs from 1; the first finite
         # place in canonical order carries the gauge
-        first = canonical_place_list(c.field, 2)[1]
-        return override_map.get(place_index(first), Fraction(first.prime) ** (-c.shift))
+        return c.at(canonical_place_list(c.field, 2)[1])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, HyperplanePoint):
@@ -329,9 +280,8 @@ class HyperplanePoint:
         ga, gb = self._gauge(), other._gauge()
         if not math.isclose(a.arch / float(ga), b.arch / float(gb), rel_tol=0, abs_tol=1e-12):
             return False
-        places = {place_index(v): v for v, _ in a.overrides}
-        places.update({place_index(v): v for v, _ in b.overrides})
-        for _, v in sorted(places.items()):
+        places = {v for v, _ in a.overrides} | {v for v, _ in b.overrides}
+        for v in sorted(places, key=place_key):
             xa, xb = a.at(v), b.at(v)
             if isinstance(ga, Fraction) and isinstance(gb, Fraction):
                 if xa / ga != xb / gb:
@@ -372,25 +322,21 @@ def hyperplane_pairing(y: Arithmeticoid, x: FieldElement) -> HyperplaneReport:
     the archimedean term is (1/s) * s log|x|_std = log|N(x)|. The finite
     coefficients therefore cancel the archimedean prime content exactly.
     """
-    from sympy import factorint
-
     if x.is_zero():
         raise AdelicError("hyperplane pairing needs x != 0")
     finite: dict[int, Fraction] = {}
     for v, o in divisor_support(x):
         e_beltrami = y.component(v).e
         alpha = Fraction(v.e * v.f) / e_beltrami
-        curve_coeff = -(e_beltrami / v.e) * o  # log|x|_{K_y} = curve_coeff * log p
+        curve_coeff = curve_log_abs(o, v.e, e_beltrami)  # log|x|_{K_y} in units of log p
         finite[v.prime] = finite.get(v.prime, Fraction(0)) + alpha * curve_coeff
     nrm = abs(x.norm())
     arch_term = math.log(nrm.numerator) - math.log(nrm.denominator)  # (1/s)*(s log|x|_std)
     total = arch_term + sum(float(c) * math.log(p) for p, c in finite.items())
     # add back the norm's prime content to expose exact cancellation
     content: dict[int, Fraction] = dict(finite)
-    for q, m in factorint(nrm.numerator).items():
-        content[int(q)] = content.get(int(q), Fraction(0)) + m
-    for q, m in factorint(nrm.denominator).items():
-        content[int(q)] = content.get(int(q), Fraction(0)) - m
+    for q, m in prime_exponents(nrm).items():
+        content[q] = content.get(q, Fraction(0)) + m
     return HyperplaneReport(content, arch_term, abs(total))
 
 
@@ -482,13 +428,10 @@ def arithmeticoid_from_json(data: dict) -> Arithmeticoid:
     field = NumberField.parse(data["field"])
     entries = {}
     for rec in data.get("deviations", []):
-        pj = rec["place"]
-        if pj.get("prime") is None:
-            v = archimedean_place(field)
+        v = place_from_json(field, rec["place"])
+        if v.is_archimedean:
             entries[v] = LocalPointArch(float(rec["s"]))
             continue
-        v = Place(field, int(pj["prime"]), int(pj.get("e", 1)), int(pj.get("f", 1)),
-                  int(pj.get("conjugate_index", 0)))
         concrete = None
         if "hahn" in rec:
             terms = {

@@ -22,12 +22,14 @@ import sys
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
+from sympy import isprime
+
 from .numfield import (
     FieldElement,
     NumberField,
     Place,
     archimedean_place,
-    places_over,
+    place_over,
     places_up_to,
     product_formula_check,
     roots_of_unity,
@@ -85,6 +87,7 @@ EXIT_PROPERTY = 2
 EXIT_USAGE = 64
 
 ENV_PREFIX = "ARITHMETICOID_"
+PLACES_MAX_BOUND = 100_000  # bounds the listing and the place cache it fills
 
 
 class CliError(ValueError):
@@ -229,11 +232,10 @@ def parse_place(field: NumberField, token: str) -> Place:
         s = s[:-1]
     if not s.isdigit():
         raise CliError(f"cannot parse place token {token!r}; expected like 5 or 5'")
-    p = int(s)
-    options = places_over(field, p)
-    if idx >= len(options):
-        raise CliError(f"no place {token!r} over {p} in {field}")
-    return options[idx]
+    try:
+        return place_over(field, int(s), idx)
+    except ValueError as exc:
+        raise CliError(f"no place {token!r} in {field}: {exc}") from exc
 
 
 def parse_matrix(text: str):
@@ -420,8 +422,8 @@ def _height_result(report, extra_kv=(), extra_doc=(), ok=True) -> CliResult:
 # subcommands
 
 def cmd_places(cfg: Config, args) -> CliResult:
-    if args.bound < 2:
-        raise CliError("--bound must be >= 2")
+    if not 2 <= args.bound <= PLACES_MAX_BOUND:
+        raise CliError(f"--bound must lie in [2, {PLACES_MAX_BOUND}], got {args.bound}")
     places = places_up_to(cfg.field, args.bound)
     doc = {"field": str(cfg.field), "bound": args.bound,
            "places": [v.to_json() for v in places]}
@@ -767,7 +769,13 @@ def _series_rows(x, limit: int = 16):
     return rows
 
 
+def _check_tilt_prime(p: int):
+    if not isprime(p):
+        raise CliError(f"--p must be a prime, got p = {p}")
+
+
 def cmd_tilt_eval(cfg: Config, args) -> CliResult:
+    _check_tilt_prime(args.p)
     u = parse_fraction(args.u)
     exponent = parse_fraction(args.exponent)
     a = monomial(args.p, exponent, args.coeff, cfg.hahn_cap, cfg.coeff_k)
@@ -792,6 +800,7 @@ def cmd_tilt_eval(cfg: Config, args) -> CliResult:
 
 
 def cmd_tilt_artin_hasse(cfg: Config, args) -> CliResult:
+    _check_tilt_prime(args.p)
     if args.degree < 1:
         raise CliError("--degree must be >= 1")
     series = artin_hasse(args.p, args.degree, cfg.padic_precision)
@@ -842,6 +851,7 @@ def _ghost(p: int, vec) -> list:
 
 
 def cmd_tilt_witt_check(cfg: Config, args) -> CliResult:
+    _check_tilt_prime(args.p)
     if args.count < 1:
         raise CliError("--count must be >= 1")
     n_len = cfg.witt_length
@@ -1057,7 +1067,8 @@ def build_parser() -> Parser:
         return p
 
     p = leaf(sub, "places", cmd_places, "enumerate places of the field")
-    p.add_argument("--bound", type=int, default=20, help="rational prime bound")
+    p.add_argument("--bound", type=int, default=20,
+                   help=f"rational prime bound, 2..{PLACES_MAX_BOUND}")
 
     carrier_flags = [
         ("--deform", dict(action="append", metavar="P:E",

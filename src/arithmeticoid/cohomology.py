@@ -22,7 +22,10 @@ from .numfield import (
     NumberField,
     Place,
     _hensel_root,
+    _int_valuation,
     ord as ord_at,
+    place_from_json,
+    place_key,
 )
 
 __all__ = [
@@ -52,17 +55,7 @@ class CohomologyError(ValueError):
 # residue arithmetic mod p^N in the ring of integers
 
 def _frac_val(q: Fraction, p: int) -> int:
-    if q == 0:
-        raise CohomologyError("valuation of 0")
-    v = 0
-    num, den = q.numerator, q.denominator
-    while num % p == 0:
-        num //= p
-        v += 1
-    while den % p == 0:
-        den //= p
-        v -= 1
-    return v
+    return _int_valuation(q.numerator, p) - _int_valuation(q.denominator, p)
 
 
 def _frac_mod(q: Fraction, p: int, mod: int) -> int:
@@ -218,18 +211,13 @@ class AdelicClass:
                 raise CohomologyError("misplaced Kummer class")
 
     def component(self, v: Place):
-        for w, c in self.finite:
-            if w == v:
-                return c
-        return None
+        return dict(self.finite).get(v)
 
 
 def make_adelic_class(field: NumberField, classes: dict | None = None,
                       archimedean: complex = 1 + 0j) -> AdelicClass:
-    from .adelic import place_index
-
     entries = tuple(sorted(((c.place, c) for c in (classes or {}).values()),
-                           key=lambda t: place_index(t[0])))
+                           key=lambda t: place_key(t[0])))
     return AdelicClass(field, entries, archimedean)
 
 
@@ -337,16 +325,11 @@ def adelic_class_to_json(c: AdelicClass) -> dict:
     }
 
 
-def _place_from_json(field: NumberField, data: dict) -> Place:
-    return Place(field, data["prime"], data["e"], data["f"],
-                 data["conjugate_index"])
-
-
 def adelic_class_from_json(data: dict) -> AdelicClass:
     field = NumberField.parse(data["field"])
     classes = {}
     for entry in data["finite"]:
-        v = _place_from_json(field, entry["place"])
+        v = place_from_json(field, entry["place"])
         classes[v] = KummerClass(v, entry["precision"], entry["order_part"],
                                  tuple(entry["unit_tag"]), entry["tag_modulus"])
     re_part, im_part = data["archimedean"]
@@ -356,7 +339,7 @@ def adelic_class_from_json(data: dict) -> AdelicClass:
 def transform_from_json(field: NumberField, data: dict) -> ClassTransform:
     return ClassTransform(
         label=data["label"],
-        place=_place_from_json(field, data["place"]),
+        place=place_from_json(field, data["place"]),
         unit_scale=data.get("unit_scale", 1),
         frobenius_shift=data.get("frobenius_shift", 0),
     )

@@ -30,6 +30,7 @@ from .numfield import (
     NumberField,
     Place,
     archimedean_place,
+    place_key,
     _log_fraction,
 )
 from .ffcurve import LocalPointArch, LocalPointNonArch, curve_log_abs
@@ -37,7 +38,7 @@ from .adelic import (
     Arithmeticoid,
     divisor_support,
     lstar_act,
-    place_index,
+    stabilizer_check,
 )
 from .padic import PadicScalar
 
@@ -172,7 +173,7 @@ def height(y: Arithmeticoid, point: ProjectivePoint) -> HeightReport:
         for v, o in divisor_support(x):
             support.setdefault(v, {})[id(x)] = o
     terms = []
-    for v in sorted(support, key=place_index):
+    for v in sorted(support, key=place_key):
         pt = y.component(v)
         alpha = Fraction(v.local_degree) / pt.e
         best = max(curve_log_abs(Fraction(support[v].get(id(x), 0)), v.e, pt.e)
@@ -195,24 +196,23 @@ def scalar_height(y: Arithmeticoid, z: FieldElement) -> HeightReport:
 def stabilized_height(y: Arithmeticoid, z: FieldElement, sample=None) -> float:
     """sup over the sampled L*-orbit of y; 1 is always adjoined, so this
     dominates the plain height and is reported as a lower bound for the sup."""
-    if sample is None:
-        sample = default_sample(y.field)
-    best = scalar_height(y, z).total
-    for a in sample:
-        if a.is_zero():
-            raise HeightError("sample elements must be nonzero")
-        if abs(a.norm()) == 1 and not divisor_support(a):
-            continue  # acts trivially
-        best = max(best, scalar_height(lstar_act(a, y), z).total)
-    return best
+    return stabilized_height_report(y, z, sample)[0]
 
 
 def stabilized_height_report(y: Arithmeticoid, z: FieldElement, sample=None):
-    """(value, witness) version; witness None means the orbit point y itself."""
+    """(value, witness) version; witness None means the orbit point y itself.
+
+    Trivial actors are skipped: their orbit point is y, whose height is the
+    base, and a witness must beat the best value strictly.
+    """
     if sample is None:
         sample = default_sample(y.field)
     best, witness = scalar_height(y, z).total, None
     for a in sample:
+        if a.is_zero():
+            raise HeightError("sample elements must be nonzero")
+        if stabilizer_check(a, y):
+            continue
         t = scalar_height(lstar_act(a, y), z).total
         if t > best:
             best, witness = t, a
@@ -262,7 +262,7 @@ def make_ideloid(field: NumberField, orders: dict | None = None,
                  arch_log: float = 0.0) -> Ideloid:
     entries = tuple(sorted(
         ((v, Fraction(o), "1") for v, o in (orders or {}).items() if o != 0),
-        key=lambda t: place_index(t[0])))
+        key=lambda t: place_key(t[0])))
     return Ideloid(field, entries, arch_log)
 
 
@@ -332,7 +332,7 @@ class Frobenioid:
             c = self._check_value(v, c)
             if c != 0:
                 entries.append((v, c))
-        entries.sort(key=lambda t: place_index(t[0]))
+        entries.sort(key=lambda t: place_key(t[0]))
         return FrobenioidElement(self, tuple(entries))
 
     def _check_value(self, v: Place, c):
@@ -363,10 +363,7 @@ class FrobenioidElement:
     entries: tuple  # ((Place, exponent), ...) nonzero, canonical order
 
     def exponent(self, v: Place):
-        for w, c in self.entries:
-            if w == v:
-                return c
-        return Fraction(0) if self.monoid.mode != "real" else 0.0
+        return dict(self.entries).get(v, Fraction(0) if self.monoid.mode != "real" else 0.0)
 
     def is_identity(self) -> bool:
         return not self.entries

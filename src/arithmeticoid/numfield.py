@@ -5,17 +5,23 @@ exact rational coordinates in the integral basis (1, omega), where
 omega = (1 + sqrt(-d))/2 when d = 3 (mod 4) and omega = sqrt(-d) otherwise.
 Finite absolute values are kept as exact rational exponents of log p; only the
 archimedean contribution is floating point.
+
+The canonical place order lives here too: the archimedean place first, then
+the finite places by (prime, conjugate_index).  `place_key` sorts by it, and one
+cached per-field enumeration answers `places_up_to`, `canonical_place_list`
+and `place_index`.
 """
 
 from __future__ import annotations
 
 import math
 import re
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from sympy import factorint, primerange
+from sympy import factorint, isprime, primerange
 from sympy.ntheory.residue_ntheory import sqrt_mod
 
 
@@ -274,14 +280,71 @@ def places_over(field: NumberField, p: int) -> tuple[Place, ...]:
     return (Place(field, p, 1, 1, 0), Place(field, p, 1, 1, 1))
 
 
+def place_over(field: NumberField, p: int, conjugate_index: int = 0) -> Place:
+    """The place over the rational prime p with the given conjugate index."""
+    if not isprime(p):
+        raise FieldError(f"{p} is not a prime, so no place lies over it")
+    options = places_over(field, p)
+    if not 0 <= conjugate_index < len(options):
+        raise FieldError(f"no place over {p} with conjugate index {conjugate_index} in {field}")
+    return options[conjugate_index]
+
+
+def place_from_json(field: NumberField, data: dict) -> Place:
+    """The place a Place.to_json record names; every stored coordinate must agree."""
+    prime = data.get("prime")
+    if prime is None:
+        v = archimedean_place(field)
+    else:
+        v = place_over(field, int(prime), int(data.get("conjugate_index", 0)))
+    if any(int(data[k]) != getattr(v, k) for k in ("e", "f") if k in data):
+        raise FieldError(f"no place {data} in {field}")
+    return v
+
+
+# ---------------------------------------------------------------------------
+# canonical place order: archimedean first, then finite by (prime, conjugate)
+
+def place_key(v: Place) -> tuple:
+    """Sort key of the canonical order: (is finite, prime, conjugate_index)."""
+    return (not v.is_archimedean, v.prime or 0, v.conjugate_index)
+
+
+_ENUMERATION: dict = {}  # field -> canonical place list, grown on demand
+
+
+def _enumeration(field: NumberField, bound: int) -> list[Place]:
+    """The cached canonical list, extended through every place over a prime <= bound."""
+    places = _ENUMERATION.setdefault(field, [archimedean_place(field)])
+    for p in primerange((places[-1].prime or 1) + 1, bound + 1):
+        places.extend(places_over(field, int(p)))
+    return places
+
+
 def places_up_to(field: NumberField, bound: int) -> list[Place]:
     """The archimedean place plus every finite place over a rational prime <= bound."""
     if bound < 2:
         raise FieldError(f"bound must be >= 2, got {bound}")
-    out = [archimedean_place(field)]
-    for p in primerange(2, bound + 1):
-        out.extend(places_over(field, int(p)))
-    return out
+    places = _enumeration(field, bound)
+    return places[:bisect_right(places, bound, key=lambda v: v.prime or 0)]
+
+
+def canonical_place_list(field: NumberField, count: int) -> list[Place]:
+    """The first `count` places in the canonical enumeration."""
+    places = _enumeration(field, 1)
+    while len(places) < count:
+        # Bertrand: a prime lies in (p, 2p], so every round adds a place
+        places = _enumeration(field, 2 * (places[-1].prime or 1))
+    return places[:count]
+
+
+def place_index(v: Place) -> int:
+    """1-based position of a place in the canonical enumeration."""
+    places = _enumeration(v.field, v.prime or 1)
+    n = bisect_left(places, place_key(v), key=place_key)
+    if n == len(places) or places[n] != v:
+        raise FieldError(f"{v} is not a place of {v.field}")
+    return n + 1
 
 
 @lru_cache(maxsize=None)
@@ -402,16 +465,18 @@ class ProductFormulaReport:
         )
 
 
+def prime_exponents(q: Fraction) -> dict[int, Fraction]:
+    """prime -> signed exponent of a nonzero rational: numerator primes, then denominator."""
+    out = {int(p): Fraction(m) for p, m in factorint(abs(q.numerator)).items()}
+    out.update((int(p), Fraction(-m)) for p, m in factorint(q.denominator).items())
+    return out
+
+
 def product_formula_check(x: FieldElement) -> ProductFormulaReport:
     """Sum log|x|_v over all places; exact prime-by-prime cancellation plus a float residual."""
     if x.is_zero():
         raise InfiniteOrder("product formula needs x != 0")
-    nrm = abs(x.norm())
-    norm_exponents: dict[int, Fraction] = {}
-    for q, m in factorint(nrm.numerator).items():
-        norm_exponents[int(q)] = norm_exponents.get(int(q), Fraction(0)) + m
-    for q, m in factorint(nrm.denominator).items():
-        norm_exponents[int(q)] = norm_exponents.get(int(q), Fraction(0)) - m
+    norm_exponents = prime_exponents(abs(x.norm()))
     finite_sums: dict[int, Fraction] = {}
     for p in sorted(norm_exponents):
         total = Fraction(0)

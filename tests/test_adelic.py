@@ -29,7 +29,15 @@ from arithmeticoid.adelic import (
     standard_arithmeticoid,
 )
 from arithmeticoid.ffcurve import LocalPointArch, LocalPointNonArch, local_point
-from arithmeticoid.numfield import NumberField, archimedean_place, places_over, roots_of_unity
+from arithmeticoid.numfield import (
+    FieldError,
+    NumberField,
+    Place,
+    archimedean_place,
+    place_key,
+    places_over,
+    roots_of_unity,
+)
 from arithmeticoid.tilt import hahn_eq, monomial
 
 F = Fraction
@@ -58,6 +66,38 @@ def test_canonical_enumeration_split_pairs():
     assert labels == [(2, 0), (3, 0), (5, 0), (5, 1), (7, 0), (11, 0), (13, 0)]
     for n, v in enumerate(ps, start=1):
         assert place_index(v) == n
+
+
+@pytest.mark.parametrize("d", [None, 1, 2, 3, 5])
+def test_canonical_enumeration_is_the_sort_key_order(d):
+    from sympy import primerange
+
+    K = NumberField(d)
+    ps = canonical_place_list(K, 1074)
+    # oracle: walk the primes afresh, outside the cached enumeration
+    expected = [archimedean_place(K)]
+    for p in primerange(2, ps[-1].prime + 1):
+        expected.extend(places_over(K, int(p)))
+    assert ps == expected[:1074]
+    assert sorted(random.Random(1074).sample(ps, len(ps)), key=place_key) == ps
+    for n, v in enumerate(ps, start=1):
+        assert place_index(v) == n
+
+
+def test_distance_sees_exactly_the_first_1074_places():
+    y0 = standard_arithmeticoid(Q)
+    ps = canonical_place_list(Q, 1075)
+    # d/(1+d) > 1/2 rounds 2^-1074 * d/(1+d) up to the least subnormal; one place later it is 0
+    assert distance(y0, deform(y0, ps[1073], local_point(ps[1073], e=100))) == 2.0 ** -1074
+    assert distance(y0, deform(y0, ps[1074], local_point(ps[1074], e=100))) == 0.0
+    far = places_over(Q, 1000000007)[0]
+    assert distance(y0, deform(y0, far, local_point(far, e=100))) == 0.0
+
+
+def test_place_index_rejects_non_places():
+    for bogus in (Place(Q, 4), Place(Q, 1), Place(QI, 5, 1, 1, 2), Place(QI, 2, 1, 1, 0)):
+        with pytest.raises(FieldError):
+            place_index(bogus)
 
 
 # ---------------------------------------------------------------- frobenius
@@ -361,6 +401,19 @@ def test_json_roundtrip():
     assert back.frobenius_shift == y.frobenius_shift
     assert back.component(v).e == y.component(v).e
     assert back.component(arch).s == y.component(arch).s
+
+
+def test_json_rejects_places_that_do_not_exist():
+    v = v_of(QI, 5, 1)
+    y = deform(standard_arithmeticoid(QI), v, LocalPointNonArch(v, F(7, 3)))
+    data = arithmeticoid_to_json(y)
+    for place in ({"prime": 4, "e": 1, "f": 1, "conjugate_index": 0},
+                  {"prime": 1, "e": 1, "f": 1, "conjugate_index": 0},
+                  {"prime": 5, "e": 1, "f": 1, "conjugate_index": 2},
+                  {"prime": 5, "e": 2, "f": 1, "conjugate_index": 0}):
+        data["deviations"][0]["place"] = place
+        with pytest.raises(FieldError):
+            arithmeticoid_from_json(data)
 
 
 def test_json_roundtrip_concrete():

@@ -2,6 +2,7 @@ import json
 import math
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -392,6 +393,35 @@ def test_validation_exit_codes(capsys):
     assert main(["cohomology", "kummer", "--field", "Q", "--x", "5",
                  "--place", "5'"]) == 1
     capsys.readouterr()
+    cases = [
+        (["distance", "--deform", "4:3/2"], "'4'"),
+        (["distance", "--deform", "1:2"], "'1'"),
+        (["distance", "--field", "Q(sqrt(-1))", "--deform", "25':2"], "\"25'\""),
+        (["cohomology", "kummer", "--x", "3", "--place", "9"], "'9'"),
+        (["cohomology", "tate-class", "--entry", "0:3", "--arch", "0.1"], "'0'"),
+        (["places", "--bound", "100001"], "--bound"),
+        (["places", "--bound", "100000000"], "--bound"),
+    ]
+    for tilt in (["eval", "--u", "2", "--exponent", "1"], ["artin-hasse"], ["witt-check"]):
+        for p in ("0", "1", "4", "-3"):
+            cases.append((["tilt", *tilt, "--p", p], f"p = {p}"))
+    for argv, token in cases:
+        t0 = time.perf_counter()
+        assert main(argv) == 1, argv
+        assert time.perf_counter() - t0 < 1.0, argv
+        err = capsys.readouterr().err
+        assert token in err and "Traceback" not in err, (argv, err)
+
+
+@pytest.mark.parametrize("prime", ["10000019", "1000000007"])
+def test_height_at_a_large_prime_lists_its_place(prime):
+    t0 = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "arithmeticoid", "height", "--z", prime],
+        capture_output=True, text=True, timeout=30)
+    assert time.perf_counter() - t0 < 5.0
+    assert proc.returncode == 0
+    assert f"v{prime} " in proc.stdout
 
 
 def test_usage_exit_codes():

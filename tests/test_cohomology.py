@@ -269,6 +269,21 @@ def test_transform_json_round_trip():
     assert transform_from_json(Q, transform_to_json(t)) == t
 
 
+def test_json_loaders_reject_places_that_do_not_exist():
+    v = places_over(Q, 3)[0]
+    cls_doc = adelic_class_to_json(make_adelic_class(Q, {v: kummer_class(Q.element(3), v, 2)}))
+    t_doc = transform_to_json(ClassTransform("y7", v, unit_scale=2))
+    for place in ({"prime": 9, "e": 1, "f": 1, "conjugate_index": 0},
+                  {"prime": 3, "e": 1, "f": 2, "conjugate_index": 0},
+                  {"prime": 3, "e": 1, "f": 1, "conjugate_index": 1}):
+        cls_doc["finite"][0]["place"] = place
+        t_doc["place"] = place
+        with pytest.raises(ValueError, match="place"):
+            adelic_class_from_json(cls_doc)
+        with pytest.raises(ValueError, match="place"):
+            transform_from_json(Q, t_doc)
+
+
 def test_archimedean_slot_must_be_nonzero():
     with pytest.raises(CohomologyError):
         AdelicClass(Q, (), 0j)

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from arithmeticoid.numfield import NumberField, archimedean_place, places_over
-from arithmeticoid.ffcurve import LocalPointArch, frobenius_point, standard_point
+from arithmeticoid.ffcurve import LocalPointArch, frobenius_point, local_point, standard_point
 from arithmeticoid.adelic import (
     deform,
     global_frobenius,
@@ -251,6 +251,26 @@ def test_sample_rejects_zero():
     y0 = standard_arithmeticoid(Q)
     with pytest.raises(HeightError):
         stabilized_height(y0, Q.element(Fraction(2)), [Q.zero()])
+
+
+def test_stabilized_height_is_the_report_value_on_the_acceptance_sample():
+    y0 = standard_arithmeticoid(Q)
+    v5 = places_over(Q, 5)[0]
+    sample = default_sample(Q, 2, 13)
+    for y in (y0, deform(y0, v5, local_point(v5, e=Fraction(3, 2))), global_frobenius(y0, 1)):
+        for z in (Fraction(5), Fraction(7, 12), Fraction(-45, 4)):
+            ze = Q.element(z)
+            value, witness = stabilized_height_report(y, ze, sample)
+            assert stabilized_height(y, ze, sample) == value
+            # oracle: the orbit maximum over every sample element, trivial actors included
+            orbit = [scalar_height(lstar_act(a, y), ze).total for a in sample]
+            assert value == max([scalar_height(y, ze).total] + orbit)
+            if witness is not None:
+                assert scalar_height(lstar_act(witness, y), ze).total == value
+    with_zero = sample[:3] + [Q.zero()]
+    for stabilized in (stabilized_height, stabilized_height_report):
+        with pytest.raises(HeightError):
+            stabilized(y0, Q.element(Fraction(5)), with_zero)
 
 
 # ---------------------------------------------------------------------------
