@@ -4,8 +4,10 @@ tests/data/cli_golden.txt holds one block per invocation: a header line
 ``### <exit code> <argv as a JSON list>`` followed by the exact stdout.  The
 blocks cover the carrier layer's commands (heights, stabilized heights,
 distances, period maps, monoids, degrees, product formulas, cohomology,
-place listings) plus the README's worked examples, each in table, json and
-csv mode.
+place listings, Tate-parameter mutation, collation, tilt and universal-cover
+commands) plus the README's worked examples, each in table, json and csv mode.
+Input files named by relative path (a parameter list, a collation payload) sit
+next to the goldens in tests/data/.
 """
 
 import json
@@ -16,7 +18,8 @@ import pytest
 
 from arithmeticoid.cli import ENV_PREFIX, main
 
-GOLDEN = Path(__file__).parent / "data" / "cli_golden.txt"
+DATA = Path(__file__).parent / "data"
+GOLDEN = DATA / "cli_golden.txt"
 
 
 def _load_blocks():
@@ -38,5 +41,6 @@ BLOCKS = _load_blocks()
 def test_cli_output_matches_golden(capsys, monkeypatch, code, argv, expected):
     for key in [k for k in os.environ if k.startswith(ENV_PREFIX)]:
         monkeypatch.delenv(key)
+    monkeypatch.chdir(DATA)
     assert main(list(argv)) == code
     assert capsys.readouterr().out == expected
