@@ -1,9 +1,13 @@
 """Command line drivers for the local-global stack.
 
-Every subcommand renders the same numbers in three modes: json (canonical:
-sorted keys, floats at 17 significant digits), csv, and a human table.  A
-fixed (config, seed) pair reproduces byte-identical output.  Randomized
-experiments print their seed in the output header.
+Every subcommand returns one result document, ``doc``, and renders it in three
+modes: json (canonical: sorted keys, floats at 17 significant digits), csv, and
+a human table.  ``doc`` is canonical.  The table and csv summary lines name
+``doc`` keys and print ``fmt(doc[key])``; a ``(label, value)`` pair stands in
+only where ``doc`` holds that value in another shape.  Row cells are raw values
+that the renderer formats with the same ``fmt``.  A fixed (config, seed) pair
+reproduces byte-identical output.  Randomized experiments print their seed in
+the output header.
 
 Configuration layers, later wins: built-in defaults, --config file (JSON,
 unknown keys rejected), ARITHMETICOID_* environment variables, command line
@@ -21,8 +25,6 @@ import re
 import sys
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-
-from sympy import isprime
 
 from .numfield import (
     FieldElement,
@@ -136,12 +138,15 @@ def _coerce_knob(key: str, raw) -> object:
         if val not in ("json", "csv", "table"):
             raise CliError(f"format must be json, csv or table, not {val!r}")
         return val
+    kind = "a rational number" if key == "hahn_cap" else "an integer"
+    try:
+        val = Fraction(str(raw)) if key == "hahn_cap" else int(raw)
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise CliError(f"{key} must be {kind}, got {raw!r}") from exc
     if key == "hahn_cap":
-        cap = Fraction(str(raw))
-        if not 0 < cap <= 1024:
-            raise CliError(f"hahn_cap must lie in (0, 1024], got {cap}")
-        return str(cap)
-    val = int(raw)
+        if not 0 < val <= 1024:
+            raise CliError(f"hahn_cap must lie in (0, 1024], got {val}")
+        return str(val)
     if key == "seed":
         if not 0 <= val < 2 ** 64:
             raise CliError("seed must be a 64-bit nonnegative integer")
@@ -152,15 +157,19 @@ def _coerce_knob(key: str, raw) -> object:
     return val
 
 
+def _read_json(path: str):
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise CliError(f"cannot read {path}: {exc}") from exc
+
+
 def resolve_config(args: argparse.Namespace) -> Config:
     values = dict(CONFIG_DEFAULTS)
     path = getattr(args, "config", None)
     if path:
-        try:
-            with open(path, encoding="utf-8") as fh:
-                data = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise CliError(f"cannot read config {path}: {exc}") from exc
+        data = _read_json(path)
         if not isinstance(data, dict):
             raise CliError("config file must hold a JSON object")
         for key, raw in data.items():
@@ -175,16 +184,9 @@ def resolve_config(args: argparse.Namespace) -> Config:
         raw = getattr(args, key, None)
         if raw is not None:
             values[key] = _coerce_knob(key, raw)
-    return Config(
-        field=NumberField.parse(values["field"]),
-        format=values["format"],
-        seed=values["seed"],
-        hahn_cap=Fraction(values["hahn_cap"]),
-        coeff_k=values["coeff_k"],
-        padic_precision=values["padic_precision"],
-        witt_length=values["witt_length"],
-        grid=values["grid"],
-    )
+    values["field"] = NumberField.parse(values["field"])
+    values["hahn_cap"] = Fraction(values["hahn_cap"])
+    return Config(**values)
 
 
 # ---------------------------------------------------------------------------
@@ -372,50 +374,45 @@ def _csv_cell(cell: str) -> str:
 @dataclass
 class CliResult:
     doc: dict
-    kv: list = dc_field(default_factory=list)      # (key, preformatted value)
+    summary: list = dc_field(default_factory=list)  # doc keys, or (label, value) pairs
     columns: list = dc_field(default_factory=list)
-    rows: list = dc_field(default_factory=list)    # lists of preformatted cells
+    rows: list = dc_field(default_factory=list)     # lists of raw cell values
     ok: bool = True
 
 
 def render(res: CliResult, mode: str) -> str:
     if mode == "json":
         return canon_json(res.doc)
+    summary = [item if isinstance(item, tuple) else (item, res.doc[item])
+               for item in res.summary]
+    summary = [(k, fmt(v)) for k, v in summary]
+    rows = [[fmt(c) for c in row] for row in res.rows]
     lines = []
     if mode == "csv":
-        for k, v in res.kv:
-            lines.append(f"# {k} = {v}")
+        lines += [f"# {k} = {v}" for k, v in summary]
         if res.columns:
             lines.append(",".join(res.columns))
-            for row in res.rows:
-                lines.append(",".join(_csv_cell(c) for c in row))
+            lines += [",".join(_csv_cell(c) for c in row) for row in rows]
         return "\n".join(lines)
-    for k, v in res.kv:
-        lines.append(f"{k} = {v}")
+    lines += [f"{k} = {v}" for k, v in summary]
     if res.columns:
         if lines:
             lines.append("")
         widths = [len(c) for c in res.columns]
-        for row in res.rows:
+        for row in rows:
             widths = [max(w, len(c)) for w, c in zip(widths, row)]
-        lines.append("  ".join(c.ljust(w) for c, w in zip(res.columns, widths)).rstrip())
-        for row in res.rows:
+        for row in [res.columns] + rows:
             lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip())
     return "\n".join(lines)
 
 
-def _height_result(report, extra_kv=(), extra_doc=(), ok=True) -> CliResult:
-    doc = report.to_json()
-    doc.update(dict(extra_doc))
-    kv = [("label", report.label)] + list(extra_kv) + [("total", fmt(report.total))]
-    columns = ["place", "alpha", "log_abs", "contribution"]
-    rows = [
-        [str(t.place), fmt(t.alpha), f"{t.log_scale}*log({t.place.prime})", fmt(t.value)]
-        for t in report.finite
-    ]
-    a = report.archimedean
-    rows.append(["v_inf", fmt(1.0 / a.s), fmt(a.log_abs), fmt(a.value)])
-    return CliResult(doc, kv, columns, rows, ok)
+def _tuple_cell(values) -> str:
+    return "(" + ",".join(str(c) for c in values) + ")"
+
+
+def _residue_cells(v: Place, k) -> tuple:
+    """A Kummer class's order part as "n mod p^k" and its unit tag as "(a,b)"."""
+    return f"{k.order_part} mod {v.prime ** k.precision}", _tuple_cell(k.unit_tag)
 
 
 # ---------------------------------------------------------------------------
@@ -428,11 +425,11 @@ def cmd_places(cfg: Config, args) -> CliResult:
     doc = {"field": str(cfg.field), "bound": args.bound,
            "places": [v.to_json() for v in places]}
     rows = [
-        [str(v), "inf" if v.is_archimedean else str(v.prime),
-         str(v.e), str(v.f), str(v.conjugate_index), str(v.local_degree)]
+        [v, "inf" if v.is_archimedean else v.prime,
+         v.e, v.f, v.conjugate_index, v.local_degree]
         for v in places
     ]
-    return CliResult(doc, [("field", str(cfg.field))],
+    return CliResult(doc, ["field"],
                      ["place", "prime", "e", "f", "conjugate_index", "degree"], rows)
 
 
@@ -440,15 +437,17 @@ def cmd_height(cfg: Config, args) -> CliResult:
     y = build_carrier(cfg, args)
     z = parse_element(cfg.field, args.z)
     report = scalar_height(y, z)
-    coeffs = {}
-    for t in report.finite:
-        coeffs[t.place.prime] = coeffs.get(t.place.prime, Fraction(0)) + t.coefficient
-    extra_doc = {
-        "field": str(cfg.field),
-        "finite_coefficients": {str(p): str(c)
-                                for p, c in sorted(coeffs.items()) if c != 0},
-    }
-    return _height_result(report, extra_doc=extra_doc.items())
+    primes = sorted({t.place.prime for t in report.finite})
+    coeffs = {p: report.finite_coefficient(p) for p in primes}
+    doc = report.to_json()
+    doc["field"] = str(cfg.field)
+    doc["finite_coefficients"] = {str(p): str(c) for p, c in coeffs.items() if c != 0}
+    rows = [[t.place, t.alpha, f"{t.log_scale}*log({t.place.prime})", t.value]
+            for t in report.finite]
+    a = report.archimedean
+    rows.append(["v_inf", 1.0 / a.s, a.log_abs, a.value])
+    return CliResult(doc, ["label", "total"],
+                     ["place", "alpha", "log_abs", "contribution"], rows)
 
 
 def cmd_stabilized_height(cfg: Config, args) -> CliResult:
@@ -469,11 +468,7 @@ def cmd_stabilized_height(cfg: Config, args) -> CliResult:
         "sample_size": len(sample),
         "dominates_base": ok,
     }
-    kv = [("field", str(cfg.field)), ("z", str(z)), ("base_height", fmt(base)),
-          ("stabilized_height", fmt(value)),
-          ("witness", fmt(None if witness is None else str(witness))),
-          ("sample_size", str(len(sample))), ("dominates_base", fmt(ok))]
-    return CliResult(doc, kv, ok=ok)
+    return CliResult(doc, list(doc), ok=ok)
 
 
 def cmd_orbit(cfg: Config, args) -> CliResult:
@@ -503,10 +498,9 @@ def cmd_orbit(cfg: Config, args) -> CliResult:
         "count": len(stabilizers),
         "matches_torsion": ok,
     }
-    kv = [("field", str(cfg.field)), ("bound", str(args.bound)),
-          ("count", str(len(stabilizers))), ("matches_torsion", fmt(ok))]
-    rows = [[str(x), fmt(x.norm())] for x in stabilizers]
-    return CliResult(doc, kv, ["element", "norm"], rows, ok)
+    rows = [[x, x.norm()] for x in stabilizers]
+    return CliResult(doc, ["field", "bound", "count", "matches_torsion"],
+                     ["element", "norm"], rows, ok)
 
 
 def cmd_product_formula(cfg: Config, args) -> CliResult:
@@ -514,26 +508,19 @@ def cmd_product_formula(cfg: Config, args) -> CliResult:
     report = product_formula_check(x)
     ok = report.exact and report.residual < 1e-9
     primes = sorted(set(report.finite_exponent_sums) | set(report.norm_exponents))
+    rows = [[p, report.finite_exponent_sums.get(p, Fraction(0)),
+             report.norm_exponents.get(p, Fraction(0))] for p in primes]
     doc = {
         "field": str(cfg.field),
         "x": str(x),
-        "finite_coefficients": {str(p): str(report.finite_exponent_sums.get(p, Fraction(0)))
-                                for p in primes},
-        "norm_exponents": {str(p): str(report.norm_exponents.get(p, Fraction(0)))
-                           for p in primes},
+        "finite_coefficients": {str(p): str(c) for p, c, _ in rows},
+        "norm_exponents": {str(p): str(n) for p, _, n in rows},
         "archimedean_log": report.archimedean_log,
         "residual": report.residual,
         "exact": ok,
     }
-    kv = [("field", str(cfg.field)), ("x", str(x)),
-          ("archimedean_log", fmt(report.archimedean_log)),
-          ("residual", fmt(report.residual)), ("exact", fmt(ok))]
-    rows = [
-        [str(p), str(report.finite_exponent_sums.get(p, Fraction(0))),
-         str(report.norm_exponents.get(p, Fraction(0)))]
-        for p in primes
-    ]
-    return CliResult(doc, kv, ["prime", "finite_coefficient", "norm_exponent"], rows, ok)
+    return CliResult(doc, ["field", "x", "archimedean_log", "residual", "exact"],
+                     ["prime", "finite_coefficient", "norm_exponent"], rows, ok)
 
 
 def cmd_distance(cfg: Config, args) -> CliResult:
@@ -548,9 +535,7 @@ def cmd_distance(cfg: Config, args) -> CliResult:
         "moved": moved,
         "separates": ok,
     }
-    kv = [("field", str(cfg.field)), ("distance", fmt(d)),
-          ("moved", fmt(moved)), ("separates", fmt(ok))]
-    return CliResult(doc, kv, ok=ok)
+    return CliResult(doc, list(doc), ok=ok)
 
 
 def cmd_period_map(cfg: Config, args) -> CliResult:
@@ -564,9 +549,7 @@ def cmd_period_map(cfg: Config, args) -> CliResult:
         "overrides": [{"place": str(v), "alpha": str(a)} for v, a in coords.overrides],
         "all_ones": all_ones,
     }
-    kv = [("field", str(cfg.field)), ("frobenius_shift", str(coords.shift)),
-          ("archimedean", fmt(coords.arch)), ("all_ones", fmt(all_ones))]
-    rows = [[str(v), str(a)] for v, a in coords.overrides]
+    summary = ["field", "frobenius_shift", "archimedean", "all_ones"]
     ok = True
     if args.x:
         x = parse_element(cfg.field, args.x)
@@ -580,10 +563,9 @@ def cmd_period_map(cfg: Config, args) -> CliResult:
             "residual": pairing.residual,
             "exact": ok,
         }
-        kv += [("hyperplane_x", str(x)),
-               ("hyperplane_residual", fmt(pairing.residual)),
-               ("hyperplane_exact", fmt(ok))]
-    return CliResult(doc, kv, ["place", "alpha"], rows, ok)
+        summary += [("hyperplane_x", x), ("hyperplane_residual", pairing.residual),
+                    ("hyperplane_exact", ok)]
+    return CliResult(doc, summary, ["place", "alpha"], coords.overrides, ok)
 
 
 def cmd_frobenioid(cfg: Config, args) -> CliResult:
@@ -605,20 +587,13 @@ def cmd_frobenioid(cfg: Config, args) -> CliResult:
         "divisor": [{"place": str(v), "order": o} for v, o in div],
         "effective": effective,
         "monoid_element": None if entries is None else
-        [{"place": str(v), "exponent": fmt(c) if isinstance(c, float) else str(c)}
-         for v, c in entries],
+        [{"place": str(v), "exponent": fmt(c)} for v, c in entries],
         "identity": bool(entries is not None and not entries),
     }
-    kv = [("field", str(cfg.field)), ("x", str(x)), ("mode", args.mode),
-          ("effective", fmt(effective))]
-    if entries is None:
-        rows = [[str(v), str(o), "-"] for v, o in div]
-    else:
-        after = {v: c for v, c in entries}
-        rows = [[str(v), str(o),
-                 fmt(after[v]) if isinstance(after.get(v), float) else str(after.get(v, 0))]
-                for v, o in div]
-    return CliResult(doc, kv, ["place", "order", "monoid_exponent"], rows)
+    after = {} if entries is None else dict(entries)
+    rows = [[v, o, None if entries is None else after.get(v, 0)] for v, o in div]
+    return CliResult(doc, ["field", "x", "mode", "effective"],
+                     ["place", "order", "monoid_exponent"], rows)
 
 
 def cmd_degree(cfg: Config, args) -> CliResult:
@@ -639,12 +614,11 @@ def cmd_degree(cfg: Config, args) -> CliResult:
         "total": report.total,
         "principal_vanishes": ok if principal else None,
     }
-    kv = [("field", str(cfg.field)), ("x", str(x)),
-          ("archimedean", fmt(report.archimedean)), ("total", fmt(report.total))]
+    summary = ["field", "x", "archimedean", "total"]
     if principal:
-        kv.append(("principal_vanishes", fmt(ok)))
-    rows = [[str(p), str(c), fmt(float(c) * math.log(p))] for p, c in report.finite]
-    return CliResult(doc, kv, ["prime", "coefficient", "value"], rows, ok)
+        summary.append("principal_vanishes")
+    rows = [[p, c, float(c) * math.log(p)] for p, c in report.finite]
+    return CliResult(doc, summary, ["prime", "coefficient", "value"], rows, ok)
 
 
 def cmd_mutate(cfg: Config, args) -> CliResult:
@@ -658,13 +632,12 @@ def cmd_mutate(cfg: Config, args) -> CliResult:
         except ValueError as exc:
             raise CliError(f"bad log_abs in {spec!r}: {exc}") from exc
     if args.params_file:
+        data = _read_json(args.params_file)
         try:
-            with open(args.params_file, encoding="utf-8") as fh:
-                data = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise CliError(f"cannot read {args.params_file}: {exc}") from exc
-        for rec in data:
-            params.append(TateSymbol(str(rec["name"]), float(rec["log_abs"])))
+            params += [TateSymbol(str(rec["name"]), float(rec["log_abs"])) for rec in data]
+        except (KeyError, TypeError, ValueError) as exc:
+            raise CliError(f'{args.params_file} must hold a JSON list of '
+                           f'{{"name": ..., "log_abs": <number>}} objects') from exc
     report = mutate_tate_parameters(params, args.independent)
     ok = len(report.flagged) == report.inverted_count
     doc = {
@@ -678,13 +651,10 @@ def cmd_mutate(cfg: Config, args) -> CliResult:
         ],
         "consistent": ok,
     }
-    kv = [("independent", str(args.independent)),
-          ("inverted_count", str(report.inverted_count)),
-          ("fresh_parameters_required", fmt(report.fresh_parameters_required))]
-    rows = [[e.name, fmt(e.inverted), fmt(e.log_abs_before), fmt(e.log_abs_after),
-             fmt(e.admissible)] for e in report.entries]
-    return CliResult(doc, kv, ["name", "inverted", "before", "after", "admissible"],
-                     rows, ok)
+    rows = [[e.name, e.inverted, e.log_abs_before, e.log_abs_after, e.admissible]
+            for e in report.entries]
+    return CliResult(doc, ["independent", "inverted_count", "fresh_parameters_required"],
+                     ["name", "inverted", "before", "after", "admissible"], rows, ok)
 
 
 # --- cohomology ------------------------------------------------------------
@@ -706,12 +676,9 @@ def cmd_cohomology_kummer(cfg: Config, args) -> CliResult:
         "tag_modulus": k.tag_modulus,
         "is_unit_class": k.is_unit_class(),
     }
-    kv = [("field", str(cfg.field)), ("x", str(x)), ("place", str(v)),
-          ("order_part", f"{k.order_part} mod {v.prime ** k.precision}"),
-          ("unit_tag", "(" + ",".join(str(t) for t in k.unit_tag) + ")"),
-          ("tag_modulus", str(k.tag_modulus)),
-          ("is_unit_class", fmt(k.is_unit_class()))]
-    return CliResult(doc, kv)
+    order_part, unit_tag = _residue_cells(v, k)
+    return CliResult(doc, ["field", "x", ("place", v), ("order_part", order_part),
+                           ("unit_tag", unit_tag), "tag_modulus", "is_unit_class"])
 
 
 def cmd_cohomology_tate(cfg: Config, args) -> CliResult:
@@ -724,58 +691,41 @@ def cmd_cohomology_tate(cfg: Config, args) -> CliResult:
         semistable[v] = parse_element(cfg.field, raw)
     arch = parse_complex(args.arch)
     cls = tate_class(cfg.field, semistable, arch, n=args.level)
-    member = bloch_kato_member(cls)
     doc = adelic_class_to_json(cls)
-    doc["bloch_kato_member"] = member
-    kv = [("field", str(cfg.field)), ("archimedean", fmt(cls.archimedean)),
-          ("bloch_kato_member", fmt(member))]
-    rows = [
-        [str(v), f"{k.order_part} mod {v.prime ** k.precision}",
-         "(" + ",".join(str(t) for t in k.unit_tag) + ")", str(k.tag_modulus)]
-        for v, k in cls.finite
-    ]
-    return CliResult(doc, kv, ["place", "order_part", "unit_tag", "tag_modulus"], rows)
+    doc["bloch_kato_member"] = bloch_kato_member(cls)
+    rows = [[v, *_residue_cells(v, k), k.tag_modulus] for v, k in cls.finite]
+    return CliResult(doc, ["field", ("archimedean", cls.archimedean), "bloch_kato_member"],
+                     ["place", "order_part", "unit_tag", "tag_modulus"], rows)
 
 
 def cmd_cohomology_collate(cfg: Config, args) -> CliResult:
+    data = _read_json(args.input)
     try:
-        with open(args.input, encoding="utf-8") as fh:
-            data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise CliError(f"cannot read {args.input}: {exc}") from exc
-    if not isinstance(data, dict) or "classes" not in data:
-        raise CliError('collate input needs {"classes": {...}, "transforms": {...}}')
-    classes = {label: adelic_class_from_json(doc)
-               for label, doc in data["classes"].items()}
-    isos = {}
-    for label, cls in classes.items():
-        raw = data.get("transforms", {}).get(label, [])
-        isos[label] = [transform_from_json(cls.field, t) for t in raw]
+        classes = {label: adelic_class_from_json(doc)
+                   for label, doc in data["classes"].items()}
+        isos = {label: [transform_from_json(cls.field, t)
+                        for t in data.get("transforms", {}).get(label, [])]
+                for label, cls in classes.items()}
+    except (AttributeError, KeyError, TypeError) as exc:
+        raise CliError(f'{args.input} must hold {{"classes": {{label: class}}, '
+                       f'"transforms": {{label: [transform]}}}}') from exc
     merged = collate(classes, isos)
     docs = sorted((adelic_class_to_json(c) for c in merged), key=canon_json)
     doc = {"input_count": len(classes), "collated_count": len(merged),
            "classes": docs}
-    kv = [("input_count", str(len(classes))), ("collated_count", str(len(merged)))]
-    return CliResult(doc, kv)
+    return CliResult(doc, ["input_count", "collated_count"])
 
 
 # --- tilt ------------------------------------------------------------------
 
 def _series_rows(x, limit: int = 16):
-    rows = [[str(e), "(" + ",".join(str(c) for c in vec) + ")"]
-            for e, vec in x.terms]
+    rows = [[e, _tuple_cell(vec)] for e, vec in x.terms]
     if len(rows) > limit:
         rows = rows[:limit] + [["...", f"{len(x.terms) - limit} more terms"]]
     return rows
 
 
-def _check_tilt_prime(p: int):
-    if not isprime(p):
-        raise CliError(f"--p must be a prime, got p = {p}")
-
-
 def cmd_tilt_eval(cfg: Config, args) -> CliResult:
-    _check_tilt_prime(args.p)
     u = parse_fraction(args.u)
     exponent = parse_fraction(args.exponent)
     a = monomial(args.p, exponent, args.coeff, cfg.hahn_cap, cfg.coeff_k)
@@ -793,14 +743,11 @@ def cmd_tilt_eval(cfg: Config, args) -> CliResult:
         "cap": str(out.cap),
         "terms": [{"exponent": str(e), "coeff": list(vec)} for e, vec in out.terms],
     }
-    kv = [("p", str(args.p)), ("u", str(u)), ("input_valuation", str(va)),
-          ("output_valuation", fmt(None if vo is None else str(vo))),
-          ("valuation_preserved", fmt(ok)), ("cap", str(out.cap))]
-    return CliResult(doc, kv, ["exponent", "coefficient_tower"], _series_rows(out), ok)
+    summary = ["p", "u", "input_valuation", "output_valuation", "valuation_preserved", "cap"]
+    return CliResult(doc, summary, ["exponent", "coefficient_tower"], _series_rows(out), ok)
 
 
 def cmd_tilt_artin_hasse(cfg: Config, args) -> CliResult:
-    _check_tilt_prime(args.p)
     if args.degree < 1:
         raise CliError("--degree must be >= 1")
     series = artin_hasse(args.p, args.degree, cfg.padic_precision)
@@ -811,9 +758,7 @@ def cmd_tilt_artin_hasse(cfg: Config, args) -> CliResult:
         "coefficients": list(series.coeffs),
         "p_integral": True,
     }
-    kv = [("p", str(args.p)), ("degree", str(args.degree)),
-          ("coefficient_precision", str(cfg.padic_precision)),
-          ("p_integral", fmt(True))]
+    summary = ["p", "degree", "coefficient_precision", "p_integral"]
     columns, rows, ok = [], [], True
     if args.exponent:
         exponent = parse_fraction(args.exponent)
@@ -827,10 +772,10 @@ def cmd_tilt_artin_hasse(cfg: Config, args) -> CliResult:
                 None if shifted.valuation() is None else str(shifted.valuation()),
             "isometry": ok,
         }
-        kv += [("exponent", str(exponent)), ("isometry", fmt(ok))]
+        summary += [("exponent", exponent), ("isometry", ok)]
         columns = ["exponent", "coefficient_tower"]
         rows = _series_rows(value)
-    return CliResult(doc, kv, columns, rows, ok)
+    return CliResult(doc, summary, columns, rows, ok)
 
 
 def _eval_terms_int(terms, xs, ys) -> int:
@@ -851,7 +796,6 @@ def _ghost(p: int, vec) -> list:
 
 
 def cmd_tilt_witt_check(cfg: Config, args) -> CliResult:
-    _check_tilt_prime(args.p)
     if args.count < 1:
         raise CliError("--count must be >= 1")
     n_len = cfg.witt_length
@@ -878,11 +822,9 @@ def cmd_tilt_witt_check(cfg: Config, args) -> CliResult:
         "failures": failures,
         "all_match_ghost_oracle": ok,
     }
-    kv = [("seed", str(cfg.seed)), ("p", str(args.p)),
-          ("witt_length", str(n_len)), ("count", str(args.count)),
-          ("all_match_ghost_oracle", fmt(ok))]
-    rows = [[str(f["index"]), fmt(f["sum_ok"]), fmt(f["prod_ok"])] for f in failures]
-    return CliResult(doc, kv, ["failed_index", "sum_ok", "prod_ok"], rows, ok)
+    rows = [[f["index"], f["sum_ok"], f["prod_ok"]] for f in failures]
+    return CliResult(doc, ["seed", "p", "witt_length", "count", "all_match_ghost_oracle"],
+                     ["failed_index", "sum_ok", "prod_ok"], rows, ok)
 
 
 # --- szpiro ----------------------------------------------------------------
@@ -899,9 +841,7 @@ def cmd_szpiro_height(cfg: Config, args) -> CliResult:
         "height": h.value,
         "error": h.error,
     }
-    kv = [("lift0", fmt(e.lift0)), ("grid", str(cfg.grid)),
-          ("height", fmt(h.value)), ("error", fmt(h.error))]
-    return CliResult(doc, kv)
+    return CliResult(doc, ["lift0", "grid", "height", "error"])
 
 
 def _random_cover_elt(rng: sz.SplitMix64):
@@ -942,11 +882,9 @@ def cmd_szpiro_subadd(cfg: Config, args) -> CliResult:
         "violations": violations,
         "subadditive": ok,
     }
-    kv = [("seed", str(cfg.seed)), ("count", str(args.count)),
-          ("grid", str(cfg.grid)), ("min_slack", fmt(min_slack)),
-          ("subadditive", fmt(ok))]
-    rows = [[str(v["index"]), fmt(v["slack"])] for v in violations]
-    return CliResult(doc, kv, ["failed_index", "slack"], rows, ok)
+    rows = [[v["index"], v["slack"]] for v in violations]
+    return CliResult(doc, ["seed", "count", "grid", "min_slack", "subadditive"],
+                     ["failed_index", "slack"], rows, ok)
 
 
 def cmd_szpiro_theta(cfg: Config, args) -> CliResult:
@@ -965,17 +903,20 @@ def cmd_szpiro_theta(cfg: Config, args) -> CliResult:
         "theta_values": [{"j": j + 1, "value": v, "modulus": abs(v)}
                          for j, v in enumerate(vals)],
     }
-    kv = [("tau", fmt(tau)), ("ell", str(args.ell)), ("schottky", fmt(q)),
-          ("scaling_drift_alpha_4", fmt(drift)), ("scaling_ok", fmt(ok))]
-    rows = [[str(j + 1), fmt(v), fmt(abs(v))] for j, v in enumerate(vals)]
-    return CliResult(doc, kv, ["j", "value", "modulus"], rows, ok)
+    rows = [[t["j"], t["value"], t["modulus"]] for t in doc["theta_values"]]
+    return CliResult(doc, ["tau", "ell", "schottky", "scaling_drift_alpha_4", "scaling_ok"],
+                     ["j", "value", "modulus"], rows, ok)
 
 
 def cmd_szpiro_cor312(cfg: Config, args) -> CliResult:
     if args.punctures < 1:
         raise CliError("--punctures must be >= 1")
     datum = sz.monodromy_generate(args.genus, args.punctures, cfg.seed)
-    report = sz.corollary312_check(datum, args.ell, grid=cfg.grid, seed=cfg.seed)
+    try:
+        report = sz.corollary312_check(datum, args.ell, grid=cfg.grid, seed=cfg.seed)
+    except OverflowError as exc:
+        raise CliError(f"seed {cfg.seed}: the composed lifts leave the float range "
+                       f"at ell = {args.ell}") from exc
     irr = sz.irreducible(sz.reduce_mod(datum, args.ell), args.ell)
     doc = {
         "seed": cfg.seed,
@@ -990,12 +931,9 @@ def cmd_szpiro_cor312(cfg: Config, args) -> CliResult:
         "irreducible_mod_ell": irr,
         "passed": report.passed,
     }
-    kv = [("seed", str(cfg.seed)), ("ell", str(args.ell)),
-          ("genus", str(args.genus)), ("punctures", str(args.punctures)),
-          ("irreducible_mod_ell", fmt(irr)), ("passed", fmt(report.passed))]
-    rows = [[str(cfg.seed), fmt(report.lhs), fmt(report.mid), fmt(report.rhs),
-             fmt(report.passed)]]
-    return CliResult(doc, kv, ["seed", "lhs", "mid", "rhs", "pass"], rows, report.passed)
+    rows = [[cfg.seed, report.lhs, report.mid, report.rhs, report.passed]]
+    return CliResult(doc, ["seed", "ell", "genus", "punctures", "irreducible_mod_ell", "passed"],
+                     ["seed", "lhs", "mid", "rhs", "pass"], rows, report.passed)
 
 
 def cmd_szpiro_lattice(cfg: Config, args) -> CliResult:
@@ -1011,12 +949,11 @@ def cmd_szpiro_lattice(cfg: Config, args) -> CliResult:
             "label": site.label, "n": n, "m": m,
             "heights": [{"value": h.value, "error": h.error} for h in heights],
         })
-        for j, h in enumerate(heights, start=1):
-            rows.append([site.label, str(n), str(m), str(j), fmt(h.value), fmt(h.error)])
+        rows += [[site.label, n, m, j, h.value, h.error]
+                 for j, h in enumerate(heights, start=1)]
     doc = {"seed": cfg.seed, "ell": args.ell, "grid": cfg.grid, "sites": sites}
-    kv = [("seed", str(cfg.seed)), ("ell", str(args.ell)),
-          ("sites", str(len(sites)))]
-    return CliResult(doc, kv, ["label", "n", "m", "j", "height", "error"], rows)
+    return CliResult(doc, ["seed", "ell", ("sites", len(sites))],
+                     ["label", "n", "m", "j", "height", "error"], rows)
 
 
 # ---------------------------------------------------------------------------

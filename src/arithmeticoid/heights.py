@@ -130,16 +130,6 @@ class HeightReport:
         return sum((t.coefficient for t in self.finite if t.place.prime == p),
                    Fraction(0))
 
-    def to_csv(self) -> str:
-        lines = ["place,alpha,log_abs,contribution"]
-        for t in self.finite:
-            lines.append(f"{t.place},{t.alpha},{t.log_scale}*log({t.place.prime})"
-                         f",{t.value:.17g}")
-        a = self.archimedean
-        alpha = 1.0 / a.s
-        lines.append(f"v_inf,{alpha:.17g},{a.log_abs:.17g},{a.value:.17g}")
-        return "\n".join(lines) + "\n"
-
     def to_json(self) -> dict:
         return {
             "label": self.label,

@@ -409,10 +409,6 @@ class Cor312Report:
     tolerance: float
     passed: bool
 
-    def csv_row(self) -> str:
-        return (f"{self.seed if self.seed is not None else ''},{self.lhs:.17g},"
-                f"{self.mid:.17g},{self.rhs:.17g},{str(self.passed).lower()}")
-
 
 def corollary312_check(datum: MonodromyDatum, ell: int,
                        lift_windings=None, grid: int = 1024,

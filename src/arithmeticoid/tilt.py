@@ -24,6 +24,14 @@ class TiltError(ValueError):
     """Domain violation in the characteristic-p model."""
 
 
+def check_prime(p: int) -> None:
+    """Reject a residue characteristic p that is not a prime."""
+    from sympy import isprime
+
+    if not isprime(p):
+        raise TiltError(f"p must be a prime, got p = {p}")
+
+
 # ---------------------------------------------------------------------------
 # coefficient field F_{p^k}
 
@@ -111,8 +119,9 @@ class CoeffField:
     """
 
     def __init__(self, p: int, k: int):
-        if p < 2 or k < 1:
-            raise TiltError(f"bad coefficient field parameters p={p}, k={k}")
+        check_prime(p)
+        if k < 1:
+            raise TiltError(f"bad coefficient field degree k={k}")
         self.p = p
         self.k = k
         self.modulus = self._find_modulus()
@@ -416,6 +425,7 @@ def _exact_artin_hasse(p: int, max_degree: int) -> list:
 
 def artin_hasse(p: int, max_degree: int, coeff_precision: int) -> ZpSeries:
     """AH(T) = exp(sum T^{p^n}/p^n), verified p-integral, reduced mod p^precision."""
+    check_prime(p)
     if max_degree < 1:
         raise TiltError("max_degree must be >= 1")
     exact = _exact_artin_hasse(p, max_degree)
@@ -493,6 +503,10 @@ def lubin_tate_act(u, a: HahnSeries, precision: int | None = None) -> HahnSeries
 # Witt vectors of length <= 3
 
 MAX_WITT_LENGTH = 3
+# Largest expansion degree p^(N-1) that witt_universal accepts.  On a 2-vCPU
+# VM, (7, 3) at degree 49 takes 1.1 s and (113, 2) 0.13 s, while (11, 3) at
+# degree 121 takes 128 s.
+MAX_WITT_DEGREE = 120
 
 
 @dataclass(frozen=True)
@@ -516,8 +530,12 @@ def witt_universal(p: int, N: int):
     """
     import sympy as sp
 
+    check_prime(p)
     if N > MAX_WITT_LENGTH:
         raise TiltError(f"Witt length {N} > {MAX_WITT_LENGTH} unsupported")
+    if p ** (N - 1) > MAX_WITT_DEGREE:
+        raise TiltError(f"Witt length {N} at p = {p} needs expansion degree "
+                        f"{p ** (N - 1)} > {MAX_WITT_DEGREE}")
     X = sp.symbols(f"x0:{N}")
     Y = sp.symbols(f"y0:{N}")
 

@@ -385,7 +385,7 @@ def test_out_of_range_knob_rejected(capsys, monkeypatch):
     assert code == 1
 
 
-def test_validation_exit_codes(capsys):
+def test_validation_exit_codes(capsys, monkeypatch, tmp_path):
     assert main(["product-formula", "--field", "Q", "--x", "abc"]) == 1
     capsys.readouterr()
     assert main(["height", "--field", "Q(sqrt(-4))", "--z", "5"]) == 1
@@ -401,16 +401,34 @@ def test_validation_exit_codes(capsys):
         (["cohomology", "tate-class", "--entry", "0:3", "--arch", "0.1"], "'0'"),
         (["places", "--bound", "100001"], "--bound"),
         (["places", "--bound", "100000000"], "--bound"),
+        (["tilt", "witt-check", "--p", "11"], "p = 11"),
+        (["szpiro", "height", "--matrix", "0,-1;1,0", "--hahn-cap", "1/0"], "hahn_cap"),
+        (["szpiro", "cor312", "--seed", "391208478", "--genus", "2", "--punctures", "5",
+          "--ell", "11"], "391208478"),
     ]
     for tilt in (["eval", "--u", "2", "--exponent", "1"], ["artin-hasse"], ["witt-check"]):
         for p in ("0", "1", "4", "-3"):
             cases.append((["tilt", *tilt, "--p", p], f"p = {p}"))
-    for argv, token in cases:
+    params_file = ["mutate", "--independent", "0", "--params-file"]
+    for name, payload, argv in [
+        ("names.json", [{"nm": 1}], params_file),
+        ("object.json", {"a": 1}, params_file),
+        ("collate.json", {"classes": [1]}, ["cohomology", "collate", "--input"]),
+    ]:
+        (tmp_path / name).write_text(json.dumps(payload))
+        cases.append(([*argv, str(tmp_path / name)], name))
+
+    def exits_1_naming(argv, token):
         t0 = time.perf_counter()
         assert main(argv) == 1, argv
         assert time.perf_counter() - t0 < 1.0, argv
         err = capsys.readouterr().err
         assert token in err and "Traceback" not in err, (argv, err)
+
+    for argv, token in cases:
+        exits_1_naming(argv, token)
+    monkeypatch.setenv("ARITHMETICOID_GRID", "abc")
+    exits_1_naming(["szpiro", "height", "--matrix", "0,-1;1,0"], "grid")
 
 
 @pytest.mark.parametrize("prime", ["10000019", "1000000007"])

@@ -497,16 +497,6 @@ def test_lift_comparison_requires_matching_places():
 # ---------------------------------------------------------------------------
 # report formats
 
-def test_csv_report_shape():
-    y0 = standard_arithmeticoid(Q)
-    r = scalar_height(y0, Q.element(Fraction(9, 10)))
-    lines = r.to_csv().strip().splitlines()
-    assert lines[0] == "place,alpha,log_abs,contribution"
-    assert lines[-1].startswith("v_inf,")
-    assert any(line.startswith("v2,") for line in lines)
-    assert any(line.startswith("v5,") for line in lines)
-
-
 def test_json_report_round_trips_totals():
     y = lstar_act(Q.element(Fraction(3)), standard_arithmeticoid(Q))
     r = scalar_height(y, Q.element(Fraction(10, 3)))

@@ -423,14 +423,6 @@ def test_cor312_windings_shift_mid():
     assert abs(shifted.mid - base.mid - math.pi) < base.tolerance + shifted.tolerance + 1e-6
 
 
-def test_cor312_csv_row():
-    datum = MonodromyDatum(0, (), (((1, 0), (0, 1)),))
-    report = corollary312_check(datum, 5, grid=256, seed=7)
-    row = report.csv_row()
-    assert row.startswith("7,")
-    assert row.endswith(",true")
-
-
 # ---------------------------------------------------------------------------
 # log-theta lattice
 

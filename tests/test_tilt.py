@@ -430,6 +430,19 @@ def test_witt_length_cap():
         teichmueller_lift(a, 4)
 
 
+def test_non_prime_p_and_oversized_witt_degree_rejected():
+    for p in (0, 1, 4, -3):
+        for call in (lambda: artin_hasse(p, 5, 4), lambda: monomial(p, F(1)),
+                     lambda: witt_universal(p, 2)):
+            with pytest.raises(TiltError, match=f"p = {p}"):
+                call()
+    with pytest.raises(TiltError, match="p = 11"):
+        witt_universal(11, 3)
+    # the largest expansions still accepted at lengths 3 and 2
+    assert len(witt_universal(7, 3)[0]) == 3
+    assert len(witt_universal(113, 2)[0]) == 2
+
+
 def test_teichmueller_rejects_negative_valuation():
     a = monomial(2, F(-1), cap=F(4), k=4)
     with pytest.raises(TiltError):
