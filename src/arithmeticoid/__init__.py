@@ -1,9 +1,10 @@
 """Adelic arithmeticoids: deformed local points on arithmetic curves and their heights.
 
 The central names re-exported here cover the everyday workflow: build a number
-field, pick a carrier of local points, deform or twist it, and measure.  The
-heavier toolkits (tilt, cohomology, szpiro, cli) stay behind their own module
-imports so that light uses do not pay for numpy or sympy warm-up.
+field, pick a carrier of local points, deform or twist it, and measure.
+Importing the package loads numfield (and with it sympy), adelic, ffcurve,
+tilt, heights and padic; only cohomology, szpiro (and with it numpy) and cli
+wait for their own module imports.
 """
 
 from .numfield import (

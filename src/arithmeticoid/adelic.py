@@ -8,8 +8,8 @@ layers, a metric, normalization coordinates, the product-formula hyperplane
 and period map, and the toy mutation of Tate parameters.
 
 The canonical place order (archimedean first, then finite by prime and
-conjugate index) lives in numfield; `canonical_place_list` and `place_index`
-are re-exported from there.
+conjugate index) lives in numfield; `canonical_place_list`, `place_index` and
+`divisor_support` are re-exported from there.
 """
 
 from __future__ import annotations
@@ -20,16 +20,15 @@ from fractions import Fraction
 
 from .numfield import (
     FieldElement,
-    InfiniteOrder,
     NumberField,
     Place,
+    _log_fraction,
     archimedean_place,
     canonical_place_list,
-    ord as ord_at,
+    divisor_support,
     place_from_json,
     place_index,
     place_key,
-    places_over,
     prime_exponents,
 )
 from .ffcurve import (
@@ -123,24 +122,6 @@ def global_frobenius(y: Arithmeticoid, m: int = 1) -> Arithmeticoid:
         return y
     label = f"phi^{m}({y.label})" if y.label else ""
     return replace(y, frobenius_shift=y.frobenius_shift + m, label=label)
-
-
-def divisor_support(x: FieldElement) -> list[tuple[Place, int]]:
-    """All (place, ord) with nonzero order, from the norm's prime support."""
-    from sympy import factorint
-
-    if x.is_zero():
-        raise InfiniteOrder("0 has no divisor")
-    den = math.lcm(x.a.denominator, x.b.denominator)
-    nrm = FieldElement(x.field, x.a * den, x.b * den).norm()
-    primes = set(factorint(int(abs(nrm))).keys()) | set(factorint(den).keys())
-    out = []
-    for p in sorted(primes):
-        for v in places_over(x.field, int(p)):
-            o = ord_at(x, v)
-            if o:
-                out.append((v, o))
-    return out
 
 
 def lstar_act(x: FieldElement, y: Arithmeticoid) -> Arithmeticoid:
@@ -331,7 +312,7 @@ def hyperplane_pairing(y: Arithmeticoid, x: FieldElement) -> HyperplaneReport:
         curve_coeff = curve_log_abs(o, v.e, e_beltrami)  # log|x|_{K_y} in units of log p
         finite[v.prime] = finite.get(v.prime, Fraction(0)) + alpha * curve_coeff
     nrm = abs(x.norm())
-    arch_term = math.log(nrm.numerator) - math.log(nrm.denominator)  # (1/s)*(s log|x|_std)
+    arch_term = _log_fraction(nrm)  # (1/s)*(s log|x|_std)
     total = arch_term + sum(float(c) * math.log(p) for p, c in finite.items())
     # add back the norm's prime content to expose exact cancellation
     content: dict[int, Fraction] = dict(finite)

@@ -139,14 +139,19 @@ def _coerce_knob(key: str, raw) -> object:
             raise CliError(f"format must be json, csv or table, not {val!r}")
         return val
     kind = "a rational number" if key == "hahn_cap" else "an integer"
+    # bool is an int subclass, and a long exponent would build a huge int
+    bad = isinstance(raw, bool) or re.search(r"[eE][+-]?\d{4}", str(raw))
     try:
-        val = Fraction(str(raw)) if key == "hahn_cap" else int(raw)
-    except (TypeError, ValueError, ZeroDivisionError) as exc:
-        raise CliError(f"{key} must be {kind}, got {raw!r}") from exc
+        val = None if bad else Fraction(str(raw))
+    except (ValueError, ZeroDivisionError):
+        val = None
+    if val is None or (key != "hahn_cap" and val.denominator != 1):
+        raise CliError(f"{key} must be {kind}, got {raw!r}")
     if key == "hahn_cap":
         if not 0 < val <= 1024:
             raise CliError(f"hahn_cap must lie in (0, 1024], got {val}")
         return str(val)
+    val = int(val)
     if key == "seed":
         if not 0 <= val < 2 ** 64:
             raise CliError("seed must be a 64-bit nonnegative integer")
@@ -709,6 +714,8 @@ def cmd_cohomology_collate(cfg: Config, args) -> CliResult:
     except (AttributeError, KeyError, TypeError) as exc:
         raise CliError(f'{args.input} must hold {{"classes": {{label: class}}, '
                        f'"transforms": {{label: [transform]}}}}') from exc
+    except ValueError as exc:
+        raise CliError(f"{args.input}: {exc}") from exc
     merged = collate(classes, isos)
     docs = sorted((adelic_class_to_json(c) for c in merged), key=canon_json)
     doc = {"input_count": len(classes), "collated_count": len(merged),
@@ -736,7 +743,7 @@ def cmd_tilt_eval(cfg: Config, args) -> CliResult:
     doc = {
         "p": args.p,
         "u": str(u),
-        "input_valuation": str(va),
+        "input_valuation": None if va is None else str(va),
         "output_valuation": None if vo is None else str(vo),
         "unit_action": unit,
         "valuation_preserved": ok,

@@ -26,6 +26,7 @@ from .numfield import (
     ord as ord_at,
     place_from_json,
     place_key,
+    power,
 )
 
 __all__ = [
@@ -60,16 +61,9 @@ def _frac_val(q: Fraction, p: int) -> int:
 
 def _frac_mod(q: Fraction, p: int, mod: int) -> int:
     """q reduced in Z/p^N; q must be p-integral."""
-    num, den = q.numerator, q.denominator
-    if den % p == 0:
-        common = 0
-        while num % p == 0 and den % p == 0:
-            num //= p
-            den //= p
-            common += 1
-        if den % p == 0:
-            raise CohomologyError("residue of a non-integral element")
-    return num * pow(den, -1, mod) % mod
+    if q.denominator % p == 0:
+        raise CohomologyError("residue of a non-integral element")
+    return q.numerator * pow(q.denominator, -1, mod) % mod
 
 
 def _res_mul(x, y, trace: int, norm: int, mod: int):
@@ -77,17 +71,6 @@ def _res_mul(x, y, trace: int, norm: int, mod: int):
     c, d = y
     return ((a * c - b * d * norm) % mod,
             (a * d + b * c + b * d * trace) % mod)
-
-
-def _res_pow(x, k: int, trace: int, norm: int, mod: int):
-    out = (1 % mod, 0)
-    base = x
-    while k:
-        if k & 1:
-            out = _res_mul(out, base, trace, norm, mod)
-        base = _res_mul(base, base, trace, norm, mod)
-        k >>= 1
-    return out
 
 
 def uniformizer(v: Place) -> FieldElement:
@@ -168,12 +151,10 @@ def kummer_class(x: FieldElement, v: Place, n: int) -> KummerClass:
     p = v.prime
     o = ord_at(x, v)
     u = x * uniformizer(v) ** (-o)
-    power, extra = _tag_exponent(v)
+    exponent, extra = _tag_exponent(v)
     res, mod = _unit_residue(u, v, n + extra)
-    field = x.field
-    t = field.omega_trace if field.d is not None else 0
-    nm = field.omega_norm if field.d is not None else 0
-    tag = _res_pow(res, power, t, nm, mod)
+    t, nm = x.field.omega_trace, x.field.omega_norm
+    tag = power(res, exponent, lambda a, b: _res_mul(a, b, t, nm, mod), (1 % mod, 0))
     return KummerClass(v, n, o % p ** n, tag, mod)
 
 
@@ -182,12 +163,11 @@ def kummer_add(c1: KummerClass, c2: KummerClass) -> KummerClass:
     if c1.place != c2.place or c1.precision != c2.precision:
         raise CohomologyError("classes at different places or precisions")
     field = c1.place.field
-    t = field.omega_trace if field.d is not None else 0
-    nm = field.omega_norm if field.d is not None else 0
     return KummerClass(
         c1.place, c1.precision,
         (c1.order_part + c2.order_part) % c1.prime ** c1.precision,
-        _res_mul(c1.unit_tag, c2.unit_tag, t, nm, c1.tag_modulus),
+        _res_mul(c1.unit_tag, c2.unit_tag, field.omega_trace, field.omega_norm,
+                 c1.tag_modulus),
         c1.tag_modulus,
     )
 
@@ -332,8 +312,10 @@ def adelic_class_from_json(data: dict) -> AdelicClass:
         v = place_from_json(field, entry["place"])
         classes[v] = KummerClass(v, entry["precision"], entry["order_part"],
                                  tuple(entry["unit_tag"]), entry["tag_modulus"])
-    re_part, im_part = data["archimedean"]
-    return make_adelic_class(field, classes, complex(re_part, im_part))
+    arch = data["archimedean"]
+    if not isinstance(arch, (list, tuple)) or len(arch) != 2:
+        raise CohomologyError(f"archimedean slot must be a [re, im] pair, got {arch!r}")
+    return make_adelic_class(field, classes, complex(*arch))
 
 
 def transform_from_json(field: NumberField, data: dict) -> ClassTransform:

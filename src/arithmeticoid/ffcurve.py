@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .numfield import NumberField, Place, archimedean_place, places_over
+from .numfield import NumberField, Place, _log_fraction, archimedean_place, places_over
 from .tilt import (
     HahnSeries,
     TiltError,
@@ -126,8 +126,7 @@ def local_distance(y1: LocalPoint, y2: LocalPoint) -> float:
         return abs(math.log(y1.s) - math.log(y2.s))
     if y1.place != y2.place:
         raise CurveError("distance needs points of the same place")
-    r = y1.e / y2.e
-    return abs(math.log(r.numerator) - math.log(r.denominator))
+    return abs(_log_fraction(y1.e / y2.e))
 
 
 def curve_log_abs(x_ord: int, ev: int, e: Fraction) -> Fraction:

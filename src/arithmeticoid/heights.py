@@ -29,17 +29,15 @@ from .numfield import (
     FieldElement,
     NumberField,
     Place,
-    archimedean_place,
-    place_key,
+    _int_valuation,
     _log_fraction,
+    archimedean_place,
+    divisor_support,
+    place_key,
+    primerange,
 )
 from .ffcurve import LocalPointArch, LocalPointNonArch, curve_log_abs
-from .adelic import (
-    Arithmeticoid,
-    divisor_support,
-    lstar_act,
-    stabilizer_check,
-)
+from .adelic import Arithmeticoid, lstar_act, stabilizer_check
 from .padic import PadicScalar
 
 J_DATA_RESOURCE = "data/j_qexp.txt"
@@ -211,8 +209,6 @@ def stabilized_height_report(y: Arithmeticoid, z: FieldElement, sample=None):
 
 def default_sample(field: NumberField, max_factors: int = 3, prime_bound: int = 50):
     """-1 and all products of up to max_factors factors p or 1/p, p <= prime_bound."""
-    from sympy import primerange
-
     gens = []
     for p in primerange(2, prime_bound + 1):
         gens.append(Fraction(p))
@@ -334,16 +330,11 @@ class Frobenioid:
         c = Fraction(c)
         if c < 0:
             raise HeightError("negative exponent")
-        if self.mode == "integer":
-            if c.denominator != 1:
-                raise HeightError("integral monoid requires integer exponents")
-        else:  # perfection: denominators are powers of the residue prime
-            den = c.denominator
-            while den % v.prime == 0:
-                den //= v.prime
-            if den != 1:
-                raise HeightError(
-                    f"perfection at {v} only divides by powers of {v.prime}")
+        if self.mode == "integer" and c.denominator != 1:
+            raise HeightError("integral monoid requires integer exponents")
+        # perfection: denominators are powers of the residue prime
+        if c.denominator != v.prime ** _int_valuation(c.denominator, v.prime):
+            raise HeightError(f"perfection at {v} only divides by powers of {v.prime}")
         return c
 
 

@@ -1,5 +1,9 @@
 """Exact places, valuations, and absolute values over Q and imaginary quadratics.
 
+The one home of exact integer arithmetic: `power`, `_int_valuation`,
+`_log_fraction`, `divisor_support` and every sympy factorint, isprime,
+primerange and sqrt_mod call live here; other modules import them from here.
+
 Supported base fields are Q and Q(sqrt(-d)) for squarefree d > 0. Elements are
 exact rational coordinates in the integral basis (1, omega), where
 omega = (1 + sqrt(-d))/2 when d = 3 (mod 4) and omega = sqrt(-d) otherwise.
@@ -31,6 +35,20 @@ class FieldError(ValueError):
 
 class InfiniteOrder(ValueError):
     """Valuation requested for the zero element."""
+
+
+def power(x, k: int, mul, one):
+    """x^k for k >= 0 by square-and-multiply, without the final unused squaring."""
+    if k < 0:
+        raise ValueError(f"power needs k >= 0, got k = {k}")
+    out = one
+    while True:
+        if k & 1:
+            out = mul(out, x)
+        k >>= 1
+        if not k:
+            return out
+        x = mul(x, x)
 
 
 def _squarefree(n: int) -> bool:
@@ -175,14 +193,7 @@ class FieldElement:
     def __pow__(self, k: int) -> "FieldElement":
         if k < 0:
             return self.inverse() ** (-k)
-        out = self.field.one()
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        return power(self, k, FieldElement.__mul__, self.field.one())
 
     def as_complex(self) -> complex:
         if self.field.d is None:
@@ -469,6 +480,22 @@ def prime_exponents(q: Fraction) -> dict[int, Fraction]:
     """prime -> signed exponent of a nonzero rational: numerator primes, then denominator."""
     out = {int(p): Fraction(m) for p, m in factorint(abs(q.numerator)).items()}
     out.update((int(p), Fraction(-m)) for p, m in factorint(q.denominator).items())
+    return out
+
+
+def divisor_support(x: FieldElement) -> list[tuple[Place, int]]:
+    """All (place, ord) with nonzero order, from the norm's prime support."""
+    if x.is_zero():
+        raise InfiniteOrder("0 has no divisor")
+    den = math.lcm(x.a.denominator, x.b.denominator)
+    nrm = FieldElement(x.field, x.a * den, x.b * den).norm()
+    primes = set(factorint(int(abs(nrm))).keys()) | set(factorint(den).keys())
+    out = []
+    for p in sorted(primes):
+        for v in places_over(x.field, int(p)):
+            o = ord(x, v)
+            if o:
+                out.append((v, o))
     return out
 
 

@@ -10,17 +10,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .numfield import _int_valuation, power
+
 
 class PadicError(ValueError):
     pass
-
-
-def _int_val(n: int, p: int) -> int:
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v
 
 
 @dataclass(frozen=True)
@@ -51,8 +45,8 @@ class PadicScalar:
         x = Fraction(x)
         if x == 0:
             return cls(p, prec, 0, prec)
-        vn = _int_val(x.numerator, p)
-        vd = _int_val(x.denominator, p)
+        vn = _int_valuation(x.numerator, p)
+        vd = _int_valuation(x.denominator, p)
         num = x.numerator // p ** vn
         den = x.denominator // p ** vd
         mod = p ** prec
@@ -100,7 +94,7 @@ class PadicScalar:
                  + other.unit * self.p ** (other.val - v0)) % mod
         if total == 0:
             return PadicScalar(self.p, abs_prec, 0, 1)
-        shift = _int_val(total, self.p)
+        shift = _int_valuation(total, self.p)
         unit = total // self.p ** shift
         prec = abs_prec - (v0 + shift)
         return PadicScalar(self.p, v0 + shift, unit % self.p ** prec, prec)
@@ -111,14 +105,7 @@ class PadicScalar:
     def __pow__(self, n: int) -> "PadicScalar":
         if n < 0:
             return self.inverse() ** (-n)
-        out = PadicScalar(self.p, 0, 1, self.prec)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return power(self, n, PadicScalar.__mul__, PadicScalar(self.p, 0, 1, self.prec))
 
     def truncated(self, abs_prec: int) -> "PadicScalar":
         """Forget digits beyond the given absolute precision."""

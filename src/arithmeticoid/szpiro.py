@@ -24,6 +24,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .numfield import isprime, power
+
 TWO_PI = 2.0 * math.pi
 _MASK = (1 << 64) - 1
 
@@ -74,19 +76,6 @@ def _mat_det(m):
 
 def _is_int_matrix(m) -> bool:
     return all(isinstance(v, int) for row in m for v in row)
-
-
-def _mat_pow(m, k: int):
-    if k < 0:
-        raise SzpiroError("negative matrix powers not needed here")
-    out = ((1, 0), (0, 1))
-    base = m
-    while k:
-        if k & 1:
-            out = _mat_mul(out, base)
-        base = _mat_mul(base, base)
-        k >>= 1
-    return out
 
 
 def _int_inv(m):
@@ -225,8 +214,6 @@ def log_link_chain(e: UnivCoverElt, span: int) -> list:
 # Schottky parameters and theta links
 
 def _check_ell(ell: int):
-    from sympy import isprime
-
     if ell < 5 or not isprime(ell):
         raise SzpiroError("ell must be a prime >= 5")
 
@@ -361,8 +348,6 @@ def reduce_mod(datum: MonodromyDatum, ell: int) -> tuple:
 
 
 def _check_prime(ell: int):
-    from sympy import isprime
-
     if not isprime(ell):
         raise SzpiroError("modulus must be prime")
 
@@ -426,7 +411,7 @@ def corollary312_check(datum: MonodromyDatum, ell: int,
     for s, gamma in enumerate(datum.punctures):
         row = []
         for j in range(1, ell_star + 1):
-            row.append(lift(_mat_pow(gamma, j * j), windings.get((s, j), 0)))
+            row.append(lift(power(gamma, j * j, _mat_mul, IDENTITY_2x2), windings.get((s, j), 0)))
         link.append(tuple(row))
     link = tuple(link)
 

@@ -16,6 +16,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+from .numfield import isprime
+
 DEFAULT_K = 12
 DEFAULT_CAP = Fraction(64)
 
@@ -26,8 +28,6 @@ class TiltError(ValueError):
 
 def check_prime(p: int) -> None:
     """Reject a residue characteristic p that is not a prime."""
-    from sympy import isprime
-
     if not isprime(p):
         raise TiltError(f"p must be a prime, got p = {p}")
 

@@ -261,6 +261,15 @@ def test_tilt_eval_unit_action(capsys):
     assert doc["terms"][0] == {"exponent": "1/2", "coeff": [2] + [0] * 11}
 
 
+def test_tilt_eval_zero_input_has_no_valuation(capsys):
+    argv = ["tilt", "eval", "--p", "3", "--u", "2", "--exponent", "1", "--coeff", "3"]
+    code, doc = run_json(capsys, *argv)
+    assert code == 0
+    assert doc["input_valuation"] is None and doc["output_valuation"] is None
+    _, out = run(capsys, *argv)
+    assert "input_valuation = -\n" in out and "None" not in out
+
+
 def test_tilt_artin_hasse_isometry(capsys):
     code, doc = run_json(capsys, "tilt", "artin-hasse", "--p", "5",
                          "--degree", "12", "--exponent", "2/3")
@@ -410,13 +419,22 @@ def test_validation_exit_codes(capsys, monkeypatch, tmp_path):
         for p in ("0", "1", "4", "-3"):
             cases.append((["tilt", *tilt, "--p", p], f"p = {p}"))
     params_file = ["mutate", "--independent", "0", "--params-file"]
-    for name, payload, argv in [
-        ("names.json", [{"nm": 1}], params_file),
-        ("object.json", {"a": 1}, params_file),
-        ("collate.json", {"classes": [1]}, ["cohomology", "collate", "--input"]),
+    one_slot = {**adelic_class_to_json(make_adelic_class(Q)), "archimedean": [1]}
+    collate_input = ["cohomology", "collate", "--input"]
+    for name, payload, argv, detail in [
+        ("names.json", [{"nm": 1}], params_file, ""),
+        ("object.json", {"a": 1}, params_file, ""),
+        ("collate.json", {"classes": [1]}, collate_input, ""),
+        ("one_slot.json", {"classes": {"a": one_slot}}, collate_input,
+         ": archimedean slot must be a [re, im] pair"),
     ]:
         (tmp_path / name).write_text(json.dumps(payload))
-        cases.append(([*argv, str(tmp_path / name)], name))
+        cases.append(([*argv, str(tmp_path / name)], name + detail))
+    for knob, value in [("grid", 100.7), ("seed", 1.5), ("grid", True)]:
+        path = tmp_path / f"{knob}_{value}.json"
+        path.write_text(json.dumps({knob: value}))
+        cases.append((["szpiro", "height", "--matrix", "0,-1;1,0", "--config", str(path)],
+                      f"{knob} must be an integer, got {value}"))
 
     def exits_1_naming(argv, token):
         t0 = time.perf_counter()

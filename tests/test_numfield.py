@@ -249,3 +249,61 @@ def test_power_identities():
     assert (i ** -1) == -i
     w = Q3.omega()
     assert (w ** 6).is_one() and not (w ** 3).is_one()
+
+
+def test_power_is_repeated_multiplication_within_the_squaring_budget():
+    from functools import reduce
+
+    from arithmeticoid.cohomology import _res_mul
+    from arithmeticoid.numfield import power
+    from arithmeticoid.padic import PadicScalar
+    from arithmeticoid.szpiro import IDENTITY_2x2, _mat_mul
+
+    def residue_mul(a, b):
+        return _res_mul(a, b, Q3.omega_trace, Q3.omega_norm, 7 ** 4)
+
+    cases = [
+        (QI.element(Fraction(2, 3), -1), FieldElement.__mul__, QI.one()),
+        (PadicScalar.from_fraction(Fraction(10, 3), 5, 8), PadicScalar.__mul__,
+         PadicScalar(5, 0, 1, 8)),
+        ((3, 5), residue_mul, (1, 0)),
+        (((2, 1), (1, 1)), _mat_mul, IDENTITY_2x2),
+        (((0, -1), (1, 3)), _mat_mul, IDENTITY_2x2),
+    ]
+    for x, mul, one in cases:
+        for k in range(71):
+            calls = []
+
+            def counted(a, b):
+                calls.append(1)
+                return mul(a, b)
+
+            assert power(x, k, counted, one) == reduce(mul, [x] * k, one), (x, k)
+            assert len(calls) <= 2 * k.bit_length(), (x, k)
+    with pytest.raises(ValueError):
+        power(QI.one(), -1, FieldElement.__mul__, QI.one())
+
+
+def test_divisor_support_has_one_home():
+    from arithmeticoid import adelic, heights, numfield
+
+    assert adelic.divisor_support is numfield.divisor_support
+    assert heights.divisor_support is numfield.divisor_support
+
+
+def test_only_numfield_imports_sympy_number_theory():
+    import ast
+    from pathlib import Path
+
+    import arithmeticoid
+
+    banned = {"factorint", "isprime", "primerange", "sqrt_mod"}
+    offenders = []
+    for path in sorted(Path(arithmeticoid.__file__).parent.glob("*.py")):
+        if path.stem == "numfield":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.ImportFrom) and (node.module or "").startswith("sympy")
+                    and banned & {a.name for a in node.names}):
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert not offenders, offenders
