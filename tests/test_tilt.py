@@ -1,5 +1,7 @@
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -34,6 +36,7 @@ from arithmeticoid.tilt import (
 )
 
 F = Fraction
+DATA = Path(__file__).parent / "data"
 
 
 # ---------------------------------------------------------------- oracles
@@ -333,6 +336,16 @@ def test_universal_sum_polynomials_frozen():
         (1, 0, 1, 0): -1,
     }
     assert dict((e, c) for c, e in prods[0]) == {(1, 0, 1, 0): 1}
+
+
+def test_witt_universal_matches_frozen_term_lists():
+    """tests/data/witt_universal.json holds the term lists of the symbolic
+    (sympy) solve for p in {2, 3, 5, 7} x N in {1, 2, 3} and (113, 2), in
+    sympy's Poly.terms() order: exponent tuples descending."""
+    for case in json.loads((DATA / "witt_universal.json").read_text()):
+        sums, prods = witt_universal(case["p"], case["N"])
+        for got, want in ((sums, case["sums"]), (prods, case["prods"])):
+            assert got == [[(c, tuple(e)) for c, e in terms] for terms in want], (case["p"], case["N"])
 
 
 def test_universal_polynomials_satisfy_ghost_identity():
