@@ -130,6 +130,18 @@ class Config:
     grid: int
 
 
+def _rational(raw) -> Fraction | None:
+    """Fraction(str(raw)), or None when malformed.  An exponent literal of four
+    or more digits is malformed too: 1e9999999 would build a huge int."""
+    text = str(raw)
+    if re.search(r"[eE][+-]?\d{4}", text):
+        return None
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        return None
+
+
 def _coerce_knob(key: str, raw) -> object:
     if key == "field":
         return str(raw)
@@ -139,12 +151,8 @@ def _coerce_knob(key: str, raw) -> object:
             raise CliError(f"format must be json, csv or table, not {val!r}")
         return val
     kind = "a rational number" if key == "hahn_cap" else "an integer"
-    # bool is an int subclass, and a long exponent would build a huge int
-    bad = isinstance(raw, bool) or re.search(r"[eE][+-]?\d{4}", str(raw))
-    try:
-        val = None if bad else Fraction(str(raw))
-    except (ValueError, ZeroDivisionError):
-        val = None
+    # bool is an int subclass
+    val = None if isinstance(raw, bool) else _rational(raw)
     if val is None or (key != "hahn_cap" and val.denominator != 1):
         raise CliError(f"{key} must be {kind}, got {raw!r}")
     if key == "hahn_cap":
@@ -286,10 +294,10 @@ def parse_complex(text: str) -> complex:
 
 
 def parse_fraction(text: str) -> Fraction:
-    try:
-        return Fraction(text.strip())
-    except (ValueError, ZeroDivisionError) as exc:
-        raise CliError(f"cannot parse fraction {text!r}") from exc
+    val = _rational(text)
+    if val is None:
+        raise CliError(f"cannot parse fraction {text!r}")
+    return val
 
 
 def build_carrier(cfg: Config, args: argparse.Namespace):

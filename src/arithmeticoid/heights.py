@@ -21,7 +21,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from importlib import resources
 from itertools import combinations_with_replacement
 
@@ -41,7 +40,6 @@ from .adelic import Arithmeticoid, lstar_act, stabilizer_check
 from .padic import PadicScalar
 
 J_DATA_RESOURCE = "data/j_qexp.txt"
-J_DATA_MAX_N = 64  # shipped coefficient range
 
 
 class HeightError(ValueError):
@@ -410,56 +408,6 @@ def principal_divisor(x: FieldElement) -> tuple:
 
 # ---------------------------------------------------------------------------
 # the modular j-expansion and its inversion
-
-def _poly_mul_trunc(a: list, b: list, n: int) -> list:
-    out = [0] * n
-    for i, ai in enumerate(a):
-        if ai == 0 or i >= n:
-            continue
-        for j, bj in enumerate(b):
-            if i + j >= n:
-                break
-            out[i + j] += ai * bj
-    return out
-
-
-@lru_cache(maxsize=None)
-def j_expansion_coefficients(n_max: int) -> tuple:
-    """Exact integers c_n with j(q) = sum c_n q^n over n >= -1, computed from
-    the weight-4 Eisenstein series cubed over the discriminant product."""
-    from sympy import divisor_sigma
-
-    n = n_max + 2  # track q^0 .. q^{n-1} of q*j
-    e4 = [1] + [240 * int(divisor_sigma(k, 3)) for k in range(1, n)]
-    num = _poly_mul_trunc(_poly_mul_trunc(e4, e4, n), e4, n)
-    den = [1] + [0] * (n - 1)
-    for k in range(1, n):
-        factor = [0] * n
-        for i in range(0, 25):
-            if i * k >= n:
-                break
-            factor[i * k] = (-1) ** i * math.comb(24, i)
-        den = _poly_mul_trunc(den, factor, n)
-    inv = [1] + [0] * (n - 1)
-    for m in range(1, n):
-        inv[m] = -sum(den[i] * inv[m - i] for i in range(1, m + 1))
-    series = _poly_mul_trunc(num, inv, n)
-    return tuple((k - 1, series[k]) for k in range(n))
-
-
-def write_j_data(path, n_max: int = J_DATA_MAX_N):
-    """Regenerate the shipped coefficient table."""
-    lines = [
-        "# q-expansion of the modular j-invariant: j(q) = sum over n >= -1 of c_n q^n.",
-        "# Computed exactly as E4(q)^3 / Delta(q) with E4 = 1 + 240 sum sigma_3(k) q^k",
-        "# and Delta = q prod (1 - q^k)^24; regenerate with",
-        "# arithmeticoid.heights.write_j_data.  Lines are 'n c_n'.",
-    ]
-    for k, c in j_expansion_coefficients(n_max):
-        lines.append(f"{k} {c}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
 
 def load_j_coefficients(path=None) -> dict:
     """Parse 'n c_n' lines; '#' starts a comment.  Defaults to the shipped table."""

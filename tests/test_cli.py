@@ -414,6 +414,8 @@ def test_validation_exit_codes(capsys, monkeypatch, tmp_path):
         (["szpiro", "height", "--matrix", "0,-1;1,0", "--hahn-cap", "1/0"], "hahn_cap"),
         (["szpiro", "cor312", "--seed", "391208478", "--genus", "2", "--punctures", "5",
           "--ell", "11"], "391208478"),
+        (["tilt", "eval", "--p", "3", "--u", "2", "--exponent", "1e10000000"], "'1e10000000'"),
+        (["distance", "--deform", "5:1e99999"], "'1e99999'"),
     ]
     for tilt in (["eval", "--u", "2", "--exponent", "1"], ["artin-hasse"], ["witt-check"]):
         for p in ("0", "1", "4", "-3"):

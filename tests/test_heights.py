@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from importlib import resources
 
 import pytest
 
@@ -27,7 +28,6 @@ from arithmeticoid.heights import (
     ideloid_from_element,
     ideloid_mul,
     invert_j_series,
-    j_expansion_coefficients,
     load_j_coefficients,
     make_ideloid,
     monoid_map,
@@ -48,6 +48,55 @@ QI = NumberField.parse("Q(sqrt(-1))")
 
 # ---------------------------------------------------------------------------
 # oracles
+
+def _poly_mul_trunc(a: list, b: list, n: int) -> list:
+    out = [0] * n
+    for i, ai in enumerate(a):
+        if ai == 0 or i >= n:
+            continue
+        for j, bj in enumerate(b):
+            if i + j >= n:
+                break
+            out[i + j] += ai * bj
+    return out
+
+
+def j_expansion_coefficients(n_max: int) -> tuple:
+    """Exact integers c_n with j(q) = sum c_n q^n over n >= -1, computed from
+    the weight-4 Eisenstein series cubed over the discriminant product."""
+    from sympy import divisor_sigma
+
+    n = n_max + 2  # track q^0 .. q^{n-1} of q*j
+    e4 = [1] + [240 * int(divisor_sigma(k, 3)) for k in range(1, n)]
+    num = _poly_mul_trunc(_poly_mul_trunc(e4, e4, n), e4, n)
+    den = [1] + [0] * (n - 1)
+    for k in range(1, n):
+        factor = [0] * n
+        for i in range(0, 25):
+            if i * k >= n:
+                break
+            factor[i * k] = (-1) ** i * math.comb(24, i)
+        den = _poly_mul_trunc(den, factor, n)
+    inv = [1] + [0] * (n - 1)
+    for m in range(1, n):
+        inv[m] = -sum(den[i] * inv[m - i] for i in range(1, m + 1))
+    series = _poly_mul_trunc(num, inv, n)
+    return tuple((k - 1, series[k]) for k in range(n))
+
+
+def write_j_data(path, n_max: int = 64):
+    """Regenerate the shipped table src/arithmeticoid/data/j_qexp.txt."""
+    lines = [
+        "# q-expansion of the modular j-invariant: j(q) = sum over n >= -1 of c_n q^n.",
+        "# Computed exactly as E4(q)^3 / Delta(q) with E4 = 1 + 240 sum sigma_3(k) q^k",
+        "# and Delta = q prod (1 - q^k)^24; regenerate with",
+        "# write_j_data in tests/test_heights.py.  Lines are 'n c_n'.",
+    ]
+    for k, c in j_expansion_coefficients(n_max):
+        lines.append(f"{k} {c}")
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+
 
 def weil_height_q(z: Fraction) -> float:
     """Classical height of (1 : z) over the rationals."""
@@ -401,9 +450,12 @@ def test_principal_divisor_signs():
 # ---------------------------------------------------------------------------
 # j-expansion inversion
 
-def test_shipped_coefficient_table_matches_generator():
+def test_shipped_coefficient_table_matches_generator(tmp_path):
     table = load_j_coefficients()
     assert tuple(sorted(table.items())) == j_expansion_coefficients(64)
+    write_j_data(tmp_path / "j_qexp.txt")
+    shipped = resources.files("arithmeticoid") / "data" / "j_qexp.txt"
+    assert (tmp_path / "j_qexp.txt").read_text() == shipped.read_text()
 
 
 def test_first_coefficients_are_the_classical_ones():
