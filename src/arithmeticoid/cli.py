@@ -25,6 +25,7 @@ import re
 import sys
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .numfield import (
     FieldElement,
@@ -89,7 +90,6 @@ EXIT_PROPERTY = 2
 EXIT_USAGE = 64
 
 ENV_PREFIX = "ARITHMETICOID_"
-PLACES_MAX_BOUND = 100_000  # bounds the listing and the place cache it fills
 
 
 class CliError(ValueError):
@@ -99,22 +99,17 @@ class CliError(ValueError):
 # ---------------------------------------------------------------------------
 # configuration
 
-KNOB_RANGES = {
-    "coeff_k": (1, 12),
-    "padic_precision": (1, 64),
-    "witt_length": (1, MAX_WITT_LENGTH),
-    "grid": (64, 65536),
-}
-
-CONFIG_DEFAULTS = {
-    "field": "Q",
-    "format": "table",
-    "seed": 0,
-    "hahn_cap": "64",
-    "coeff_k": 12,
-    "padic_precision": 16,
-    "witt_length": 3,
-    "grid": 1024,
+# name: (default, (lo, hi) or choices, metavar, help).  The type of the default
+# is the knob's type; the rational knob's range excludes its lower end.
+KNOBS = {
+    "field": ("Q", None, "SPEC", 'number field, "Q" or "Q(sqrt(-d))"'),
+    "format": ("table", ("json", "csv", "table"), None, "output mode (default table)"),
+    "seed": (0, (0, 2 ** 64 - 1), "N", "RNG seed (64-bit)"),
+    "hahn_cap": (Fraction(64), (0, 1024), "Q", "truncation cap for series exponents"),
+    "coeff_k": (12, (1, 12), "K", "coefficient tower height"),
+    "padic_precision": (16, (1, 64), "N", "p-adic coefficient precision"),
+    "witt_length": (3, (1, MAX_WITT_LENGTH), "N", "Witt vector length"),
+    "grid": (1024, (64, 65536), "N", "sup-evaluation grid size"),
 }
 
 
@@ -132,9 +127,10 @@ class Config:
 
 def _rational(raw) -> Fraction | None:
     """Fraction(str(raw)), or None when malformed.  An exponent literal of four
-    or more digits is malformed too: 1e9999999 would build a huge int."""
+    or more digits is malformed too: 1e9999999 would build a huge int.  So is a
+    run of more than 1,000 digits, which int() refuses past 4,300 anyway."""
     text = str(raw)
-    if re.search(r"[eE][+-]?\d{4}", text):
+    if re.search(r"[eE][+-]?\d{4}|\d{1001}", text):
         return None
     try:
         return Fraction(text)
@@ -142,31 +138,40 @@ def _rational(raw) -> Fraction | None:
         return None
 
 
-def _coerce_knob(key: str, raw) -> object:
-    if key == "field":
-        return str(raw)
-    if key == "format":
-        val = str(raw)
-        if val not in ("json", "csv", "table"):
-            raise CliError(f"format must be json, csv or table, not {val!r}")
+def _span(lo, hi) -> str:
+    """A range as --help shows it: 1..12, or >= 1 / <= 1000 with one end open."""
+    if lo is None or hi is None:
+        return f">= {lo}" if hi is None else f"<= {hi}"
+    return f"{lo}..{hi}"
+
+
+def _in_range(name: str, val, lo, hi):
+    if (lo is None or lo <= val) and (hi is None or val <= hi):
         return val
-    kind = "a rational number" if key == "hahn_cap" else "an integer"
+    want = f"be {_span(lo, hi)}" if None in (lo, hi) else f"lie in [{lo}, {hi}]"
+    raise CliError(f"{name} must {want}, got {val}")
+
+
+def _coerce_knob(key: str, raw) -> object:
+    default, spec = KNOBS[key][:2]
+    if spec is None:
+        return str(raw)
+    if isinstance(default, str):
+        if str(raw) not in spec:
+            raise CliError(f"{key} must be {', '.join(spec[:-1])} or {spec[-1]}, "
+                           f"not {str(raw)!r}")
+        return str(raw)
+    rational = isinstance(default, Fraction)
     # bool is an int subclass
     val = None if isinstance(raw, bool) else _rational(raw)
-    if val is None or (key != "hahn_cap" and val.denominator != 1):
+    if val is None or not (rational or val.denominator == 1):
+        kind = "a rational number" if rational else "an integer"
         raise CliError(f"{key} must be {kind}, got {raw!r}")
-    if key == "hahn_cap":
-        if not 0 < val <= 1024:
-            raise CliError(f"hahn_cap must lie in (0, 1024], got {val}")
-        return str(val)
-    val = int(val)
-    if key == "seed":
-        if not 0 <= val < 2 ** 64:
-            raise CliError("seed must be a 64-bit nonnegative integer")
-        return val
-    lo, hi = KNOB_RANGES[key]
-    if not lo <= val <= hi:
-        raise CliError(f"{key} must lie in [{lo}, {hi}], got {val}")
+    lo, hi = spec
+    if not rational:
+        return _in_range(key, int(val), lo, hi)
+    if not lo < val <= hi:
+        raise CliError(f"{key} must lie in ({lo}, {hi}], got {val}")
     return val
 
 
@@ -179,7 +184,7 @@ def _read_json(path: str):
 
 
 def resolve_config(args: argparse.Namespace) -> Config:
-    values = dict(CONFIG_DEFAULTS)
+    values = {key: knob[0] for key, knob in KNOBS.items()}
     path = getattr(args, "config", None)
     if path:
         data = _read_json(path)
@@ -190,22 +195,19 @@ def resolve_config(args: argparse.Namespace) -> Config:
                 raise CliError(f"unknown config key {key!r}")
             values[key] = _coerce_knob(key, raw)
     for key in values:
-        raw = os.environ.get(ENV_PREFIX + key.upper())
-        if raw is not None:
-            values[key] = _coerce_knob(key, raw)
-    for key in values:
-        raw = getattr(args, key, None)
-        if raw is not None:
-            values[key] = _coerce_knob(key, raw)
+        for raw in (os.environ.get(ENV_PREFIX + key.upper()), getattr(args, key, None)):
+            if raw is not None:
+                values[key] = _coerce_knob(key, raw)
     values["field"] = NumberField.parse(values["field"])
-    values["hahn_cap"] = Fraction(values["hahn_cap"])
     return Config(**values)
 
 
 # ---------------------------------------------------------------------------
 # input grammar
 
-_RAT = r"\d+(?:/\d+)?"
+_RAT = r"\d{1,1000}(?:/\d{1,1000})?"  # the digit cap of _rational
+# a + b*g with g = i or w; a, when present, is followed by the sign of b
+_QUADRATIC = rf"(?:(?P<a>[+-]?{_RAT})(?=[+-]))?(?P<b>[+-]?(?:{_RAT})?)\*?(?P<g>[iw])"
 
 
 def parse_element(field: NumberField, text: str) -> FieldElement:
@@ -214,41 +216,29 @@ def parse_element(field: NumberField, text: str) -> FieldElement:
     if not s:
         raise CliError("empty element")
     if "," in s:
-        return FieldElement.parse(field, s)
-    m = re.fullmatch(rf"(?P<a>[+-]?{_RAT})", s)
-    if m:
-        return field.element(Fraction(m["a"]))
-    m = re.fullmatch(rf"(?P<b>[+-]?(?:{_RAT})?)\*?(?P<g>[iw])", s)
-    if m is None:
-        m = re.fullmatch(
-            rf"(?P<a>[+-]?{_RAT})(?P<sign>[+-])(?P<braw>(?:{_RAT})?)\*?(?P<g>[iw])", s)
-        if m is None:
+        pair = [_rational(c) for c in s.split(",")]
+        if len(pair) != 2 or None in pair:
             raise CliError(f"cannot parse element {text!r}")
-        a = Fraction(m["a"])
-        b = Fraction(m["braw"]) if m["braw"] else Fraction(1)
-        if m["sign"] == "-":
-            b = -b
-    else:
-        a = Fraction(0)
-        braw = m["b"]
-        b = Fraction(-1) if braw == "-" else Fraction(1) if braw in ("", "+") else Fraction(braw)
+        return field.element(*pair)
+    if re.fullmatch(rf"[+-]?{_RAT}", s):
+        return field.element(parse_fraction(s))
+    m = re.fullmatch(_QUADRATIC, s)
+    if m is None:
+        raise CliError(f"cannot parse element {text!r}")
     if field.d is None:
         raise CliError(f"element {text!r} needs a quadratic field")
     if m["g"] == "i" and field.d != 1:
         raise CliError("the letter i denotes the generator of Q(sqrt(-1)) only; use w")
-    return field.element(a, b)
+    b = m["b"] + "1" if m["b"] in ("", "+", "-") else m["b"]
+    return field.element(parse_fraction(m["a"] or "0"), parse_fraction(b))
 
 
 def parse_place(field: NumberField, token: str) -> Place:
-    s = token.strip()
-    idx = 0
-    while s.endswith("'"):
-        idx += 1
-        s = s[:-1]
-    if not s.isdigit():
+    m = re.fullmatch(r"(\d{1,1000})('*)", token.strip())
+    if m is None:
         raise CliError(f"cannot parse place token {token!r}; expected like 5 or 5'")
     try:
-        return place_over(field, int(s), idx)
+        return place_over(field, int(m[1]), len(m[2]))
     except ValueError as exc:
         raise CliError(f"no place {token!r} in {field}: {exc}") from exc
 
@@ -257,40 +247,39 @@ def parse_matrix(text: str):
     rows = [r for r in text.replace(" ", "").split(";") if r]
     if len(rows) != 2:
         raise CliError("matrix must be two rows a,b;c,d")
-    out = []
-    integral = True
-    for r in rows:
-        cells = r.split(",")
-        if len(cells) != 2:
-            raise CliError("matrix rows need two entries")
-        for c in cells:
-            if not re.fullmatch(r"[+-]?\d+", c):
-                integral = False
-        out.append(cells)
-    cast = int if integral else float
+    out = [r.split(",") for r in rows]
+    if any(len(cells) != 2 for cells in out):
+        raise CliError("matrix rows need two entries")
     try:
-        return tuple(tuple(cast(c) for c in r) for r in out)
+        finite = all(math.isfinite(float(c)) for r in out for c in r)
     except ValueError as exc:
         raise CliError(f"bad matrix entry: {exc}") from exc
+    if not finite:  # float() turns an entry past 1e308 into inf
+        raise CliError(f"matrix {text!r} must have finite entries")
+    integral = all(re.fullmatch(r"[+-]?\d+", c) for r in out for c in r)
+    return tuple(tuple((int if integral else float)(c) for c in r) for r in out)
 
 
-def parse_range(text: str) -> range:
-    s = text.strip()
-    if ":" in s:
-        lo, hi = s.split(":", 1)
-        return range(int(lo), int(hi))
-    return range(int(s))
+def parse_range(text: str, bound: int = 64) -> range:
+    """HI or LO:HI as range(LO, HI), both ends in [-bound, bound]."""
+    m = re.fullmatch(r"(?:([+-]?\d{1,9}):)?([+-]?\d{1,9})", text.strip())
+    if m is None:
+        raise CliError(f"cannot parse range {text!r}; expected HI or LO:HI")
+    lo, hi = int(m[1] or 0), int(m[2])
+    if not (-bound <= lo <= bound and -bound <= hi <= bound):
+        raise CliError(f"range {text!r} must have both ends in [-{bound}, {bound}]")
+    return range(lo, hi)
 
 
 def parse_complex(text: str) -> complex:
     s = text.replace(" ", "")
     try:
-        if "," in s:
-            re_part, im_part = s.split(",", 1)
-            return complex(float(re_part), float(im_part))
-        return complex(s)
+        z = complex(*map(float, s.split(",", 1))) if "," in s else complex(s)
     except ValueError as exc:
         raise CliError(f"cannot parse complex number {text!r}") from exc
+    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+        raise CliError(f"complex number {text!r} must be finite")
+    return z
 
 
 def parse_fraction(text: str) -> Fraction:
@@ -432,8 +421,6 @@ def _residue_cells(v: Place, k) -> tuple:
 # subcommands
 
 def cmd_places(cfg: Config, args) -> CliResult:
-    if not 2 <= args.bound <= PLACES_MAX_BOUND:
-        raise CliError(f"--bound must lie in [2, {PLACES_MAX_BOUND}], got {args.bound}")
     places = places_up_to(cfg.field, args.bound)
     doc = {"field": str(cfg.field), "bound": args.bound,
            "places": [v.to_json() for v in places]}
@@ -485,8 +472,6 @@ def cmd_stabilized_height(cfg: Config, args) -> CliResult:
 
 
 def cmd_orbit(cfg: Config, args) -> CliResult:
-    if args.bound < 1 or args.denominator_bound < 1:
-        raise CliError("bounds must be >= 1")
     y = standard_arithmeticoid(cfg.field)
     found = {}
     b_range = range(-args.bound, args.bound + 1) if cfg.field.d is not None else (0,)
@@ -589,7 +574,11 @@ def cmd_frobenioid(cfg: Config, args) -> CliResult:
     if effective:
         elt = Frobenioid(cfg.field, args.mode).element(dict(div))
         if args.pullback:
-            elt = frobenius_pullback(elt, args.pullback)
+            try:
+                elt = frobenius_pullback(elt, args.pullback)
+            except OverflowError as exc:
+                raise CliError(f"--pullback {args.pullback}: p^{args.pullback} leaves "
+                               f"the float range of mode real") from exc
         entries = elt.entries
     elif args.pullback:
         raise CliError("pullback needs an effective divisor (no poles)")
@@ -675,8 +664,6 @@ def cmd_mutate(cfg: Config, args) -> CliResult:
 def cmd_cohomology_kummer(cfg: Config, args) -> CliResult:
     v = parse_place(cfg.field, args.place)
     x = parse_element(cfg.field, args.x)
-    if not 1 <= args.level <= 32:
-        raise CliError("level must lie in [1, 32]")
     k = kummer_class(x, v, args.level)
     doc = {
         "field": str(cfg.field),
@@ -763,8 +750,6 @@ def cmd_tilt_eval(cfg: Config, args) -> CliResult:
 
 
 def cmd_tilt_artin_hasse(cfg: Config, args) -> CliResult:
-    if args.degree < 1:
-        raise CliError("--degree must be >= 1")
     series = artin_hasse(args.p, args.degree, cfg.padic_precision)
     doc = {
         "p": args.p,
@@ -811,8 +796,6 @@ def _ghost(p: int, vec) -> list:
 
 
 def cmd_tilt_witt_check(cfg: Config, args) -> CliResult:
-    if args.count < 1:
-        raise CliError("--count must be >= 1")
     n_len = cfg.witt_length
     sums, prods = witt_universal(args.p, n_len)
     rng = sz.SplitMix64(cfg.seed)
@@ -873,8 +856,6 @@ def _random_cover_elt(rng: sz.SplitMix64):
 
 
 def cmd_szpiro_subadd(cfg: Config, args) -> CliResult:
-    if args.count < 1:
-        raise CliError("--count must be >= 1")
     rng = sz.SplitMix64(cfg.seed)
     min_slack = math.inf
     violations = []
@@ -924,8 +905,6 @@ def cmd_szpiro_theta(cfg: Config, args) -> CliResult:
 
 
 def cmd_szpiro_cor312(cfg: Config, args) -> CliResult:
-    if args.punctures < 1:
-        raise CliError("--punctures must be >= 1")
     datum = sz.monodromy_generate(args.genus, args.punctures, cfg.seed)
     try:
         report = sz.corollary312_check(datum, args.ell, grid=cfg.grid, seed=cfg.seed)
@@ -972,7 +951,112 @@ def cmd_szpiro_lattice(cfg: Config, args) -> CliResult:
 
 
 # ---------------------------------------------------------------------------
-# parser assembly
+# flag tables and parser assembly
+
+class Flag(NamedTuple):
+    """One command line flag.  Every int flag has bounds (lo, hi), either end
+    None for open; every float flag must be finite."""
+    name: str
+    type: type | None = None
+    default: object = None
+    bounds: tuple | None = None
+    help: str | None = None
+    metavar: str | None = None
+    required: bool = False
+    choices: tuple | None = None
+    repeat: bool = False
+
+    def add_to(self, group) -> None:
+        span = self.bounds and _span(*self.bounds)
+        group.add_argument(
+            self.name, type=self.type, default=self.default, metavar=self.metavar,
+            required=self.required, choices=self.choices,
+            help=", ".join(filter(None, [self.help, span])) or None,
+            **({"action": "append"} if self.repeat else {}))
+
+
+KNOB_FLAGS = [
+    Flag("--" + key.replace("_", "-"), int if isinstance(default, int) else None,
+         bounds=spec if isinstance(default, int) else None,
+         choices=spec if isinstance(default, str) else None, metavar=metavar, help=text)
+    for key, (default, spec, metavar, text) in KNOBS.items()
+]
+
+CARRIER = [
+    Flag("--deform", repeat=True, metavar="P:E",
+         help="Beltrami exponent E at the place over P (repeatable)"),
+    Flag("--arch-scale", float, metavar="S", help="archimedean scale s > 0"),
+    Flag("--frobenius", int, 0, (-100, 100), "global Frobenius twists", metavar="M"),
+]
+X = Flag("--x", required=True, help="nonzero field element")
+Z = Flag("--z", required=True, help="field element")
+P = Flag("--p", int, bounds=(None, 1000), required=True)  # check_prime rejects the rest
+COEFF = Flag("--coeff", int, 1, (-10 ** 6, 10 ** 6))
+LEVEL = Flag("--level", int, 3, (1, 32))
+ELL = Flag("--ell", int, 5, (5, 1000))
+GROUPS = {"cohomology": "Kummer classes and collation",
+          "tilt": "perfectoid-side series operations",
+          "szpiro": "universal cover heights and theta links"}
+
+# (command words, handler, help, flags); each bound keeps its flag under 10 s
+COMMANDS = [
+    ("places", cmd_places, "enumerate places of the field",
+     [Flag("--bound", int, 20, (2, 100_000), "rational prime bound")]),
+    ("height", cmd_height, "deformation height of (1 : z)", [Z, *CARRIER]),
+    ("stabilized-height", cmd_stabilized_height, "sup of the height over a sampled orbit",
+     [Z, Flag("--scale", help="act by this element before sampling"),
+      Flag("--max-factors", int, 3, (0, 3)), Flag("--prime-bound", int, 50, (2, 60)), *CARRIER]),
+    ("orbit", cmd_orbit, "scan for stabilizers of the standard point",
+     [Flag("--bound", int, 5, (1, 100), "coordinate bound"),
+      Flag("--denominator-bound", int, 1, (1, 100))]),
+    ("product-formula", cmd_product_formula, "exact product formula check for one element", [X]),
+    ("distance", cmd_distance, "metric distance from the standard point to a deformed one",
+     CARRIER),
+    ("period-map", cmd_period_map, "normalization coordinates and hyperplane pairing",
+     [Flag("--x", help="pair the period data against this element"), *CARRIER]),
+    ("frobenioid", cmd_frobenioid, "divisor monoid data of an element",
+     [X, Flag("--mode", default="integer", choices=("integer", "perfection", "real")),
+      Flag("--pullback", int, 0, (0, 64), "divide exponents by p^M at each place")]),
+    ("degree", cmd_degree, "arithmetic degree of a principal ideloid",
+     [X, Flag("--arch-log", float, 0.0, help="extra archimedean log-modulus")]),
+    ("mutate", cmd_mutate, "invert Tate parameters and flag the results",
+     [Flag("--param", repeat=True, metavar="NAME:LOG_ABS", help="Tate symbol (repeatable)"),
+      Flag("--params-file", metavar="PATH", help='JSON list of {"name", "log_abs"}'),
+      Flag("--independent", int, None, (0, None), "how many leading symbols to invert",
+           required=True)]),
+    ("cohomology kummer", cmd_cohomology_kummer, "Kummer class of x at a place",
+     [Flag("--x", required=True), Flag("--place", required=True, metavar="P", help="like 5 or 5'"),
+      LEVEL]),
+    ("cohomology tate-class", cmd_cohomology_tate, "adelic class of Tate parameters",
+     [Flag("--entry", repeat=True, metavar="P:Q",
+           help="Tate parameter Q at the place over P (repeatable)"),
+      Flag("--arch", required=True, help="Schottky parameter, |q| < 1"), LEVEL]),
+    ("cohomology collate", cmd_cohomology_collate,
+     "merge labeled classes through transform families",
+     [Flag("--input", required=True, metavar="PATH")]),
+    ("tilt eval", cmd_tilt_eval, "one-parameter action [u] on a monomial",
+     [P, Flag("--u", required=True, help="p-integral rational"),
+      Flag("--exponent", required=True, help="positive rational exponent"), COEFF]),
+    ("tilt artin-hasse", cmd_tilt_artin_hasse, "p-integral exponential, optional isometry check",
+     [P, Flag("--degree", int, 60, (1, 2000)),
+      Flag("--exponent", help="evaluate at coeff * t^exponent"), COEFF]),
+    ("tilt witt-check", cmd_tilt_witt_check, "universal Witt polynomials against the ghost oracle",
+     [P, Flag("--count", int, 200, (1, 5000))]),
+    ("szpiro height", cmd_szpiro_height, "displacement height of one lift",
+     [Flag("--matrix", required=True, metavar="a,b;c,d"),
+      Flag("--winding", int, 0, (-10 ** 6, 10 ** 6))]),
+    ("szpiro subadd", cmd_szpiro_subadd, "Monte-Carlo subadditivity of the height",
+     [Flag("--count", int, 1000, (1, 5000))]),
+    ("szpiro theta", cmd_szpiro_theta, "theta values and Schottky scaling",
+     [Flag("--tau", required=True, help='upper half plane, like "0.3+0.9j"'), ELL]),
+    ("szpiro cor312", cmd_szpiro_cor312, "sup-mid-degree chain for one random monodromy datum",
+     [ELL, Flag("--genus", int, 0, (0, 100)), Flag("--punctures", int, 3, (1, 100))]),
+    # parse_range bounds the --n and --m spans
+    ("szpiro lattice", cmd_szpiro_lattice, "finite block of the theta lattice",
+     [Flag("--n", default="3", metavar="LO:HI"), Flag("--m", default="-2:3", metavar="LO:HI"),
+      ELL]),
+]
+
 
 class Parser(argparse.ArgumentParser):
     def error(self, message):
@@ -980,168 +1064,37 @@ class Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _common_parent() -> Parser:
-    p = Parser(add_help=False)
-    g = p.add_argument_group("configuration")
-    g.add_argument("--config", metavar="PATH", help="JSON config file")
-    g.add_argument("--field", metavar="SPEC", help='number field, "Q" or "Q(sqrt(-d))"')
-    g.add_argument("--format", choices=["json", "csv", "table"],
-                   help="output mode (default table)")
-    g.add_argument("--seed", type=int, metavar="N", help="RNG seed (64-bit)")
-    g.add_argument("--hahn-cap", dest="hahn_cap", metavar="Q",
-                   help="truncation cap for series exponents")
-    g.add_argument("--coeff-k", dest="coeff_k", type=int, metavar="K",
-                   help="coefficient tower height, 1..12")
-    g.add_argument("--padic-precision", dest="padic_precision", type=int, metavar="N",
-                   help="p-adic coefficient precision, 1..64")
-    g.add_argument("--witt-length", dest="witt_length", type=int, metavar="N",
-                   help=f"Witt vector length, 1..{MAX_WITT_LENGTH}")
-    g.add_argument("--grid", type=int, metavar="N",
-                   help="sup-evaluation grid size, 64..65536")
-    return p
-
-
 def build_parser() -> Parser:
-    epilog = (
-        "environment overrides: " +
-        ", ".join(ENV_PREFIX + k.upper() for k in CONFIG_DEFAULTS) +
-        ".  precedence: defaults < --config file < environment < flags."
-    )
-    common = _common_parent()
+    epilog = ("environment overrides: " + ", ".join(ENV_PREFIX + k.upper() for k in KNOBS)
+              + ".  precedence: defaults < --config file < environment < flags.")
     parser = Parser(prog="arithmeticoid", description=__doc__.splitlines()[0],
                     epilog=epilog)
-    sub = parser.add_subparsers(dest="command", metavar="COMMAND")
-
-    def leaf(subparsers, name: str, func, help_text: str):
-        p = subparsers.add_parser(name, parents=[common], help=help_text,
-                                  epilog=epilog)
-        p.set_defaults(func=func)
-        return p
-
-    p = leaf(sub, "places", cmd_places, "enumerate places of the field")
-    p.add_argument("--bound", type=int, default=20,
-                   help=f"rational prime bound, 2..{PLACES_MAX_BOUND}")
-
-    carrier_flags = [
-        ("--deform", dict(action="append", metavar="P:E",
-                          help="Beltrami exponent E at the place over P (repeatable)")),
-        ("--arch-scale", dict(dest="arch_scale", type=float, metavar="S",
-                              help="archimedean scale s > 0")),
-        ("--frobenius", dict(type=int, default=0, metavar="M",
-                             help="global Frobenius twists")),
-    ]
-
-    p = leaf(sub, "height", cmd_height, "deformation height of (1 : z)")
-    p.add_argument("--z", required=True, help="field element")
-    for flag, kw in carrier_flags:
-        p.add_argument(flag, **kw)
-
-    p = leaf(sub, "stabilized-height", cmd_stabilized_height,
-             "sup of the height over a sampled orbit")
-    p.add_argument("--z", required=True, help="field element")
-    p.add_argument("--scale", help="act by this element before sampling")
-    p.add_argument("--max-factors", dest="max_factors", type=int, default=3)
-    p.add_argument("--prime-bound", dest="prime_bound", type=int, default=50)
-    for flag, kw in carrier_flags:
-        p.add_argument(flag, **kw)
-
-    p = leaf(sub, "orbit", cmd_orbit, "scan for stabilizers of the standard point")
-    p.add_argument("--bound", type=int, default=5, help="coordinate bound")
-    p.add_argument("--denominator-bound", dest="denominator_bound", type=int, default=1)
-
-    p = leaf(sub, "product-formula", cmd_product_formula,
-             "exact product formula check for one element")
-    p.add_argument("--x", required=True, help="nonzero field element")
-
-    p = leaf(sub, "distance", cmd_distance,
-             "metric distance from the standard point to a deformed one")
-    for flag, kw in carrier_flags:
-        p.add_argument(flag, **kw)
-
-    p = leaf(sub, "period-map", cmd_period_map,
-             "normalization coordinates and hyperplane pairing")
-    p.add_argument("--x", help="pair the period data against this element")
-    for flag, kw in carrier_flags:
-        p.add_argument(flag, **kw)
-
-    p = leaf(sub, "frobenioid", cmd_frobenioid, "divisor monoid data of an element")
-    p.add_argument("--x", required=True, help="nonzero field element")
-    p.add_argument("--mode", choices=["integer", "perfection", "real"],
-                   default="integer")
-    p.add_argument("--pullback", type=int, default=0,
-                   help="divide exponents by p^M at each place")
-
-    p = leaf(sub, "degree", cmd_degree, "arithmetic degree of a principal ideloid")
-    p.add_argument("--x", required=True, help="nonzero field element")
-    p.add_argument("--arch-log", dest="arch_log", type=float, default=0.0,
-                   help="extra archimedean log-modulus")
-
-    p = leaf(sub, "mutate", cmd_mutate, "invert Tate parameters and flag the results")
-    p.add_argument("--param", action="append", metavar="NAME:LOG_ABS",
-                   help="Tate symbol (repeatable)")
-    p.add_argument("--params-file", dest="params_file", metavar="PATH",
-                   help='JSON list of {"name", "log_abs"}')
-    p.add_argument("--independent", type=int, required=True,
-                   help="how many leading symbols to invert")
-
-    coh = sub.add_parser("cohomology", help="Kummer classes and collation")
-    coh_sub = coh.add_subparsers(dest="subcommand", metavar="SUBCOMMAND")
-    p = leaf(coh_sub, "kummer", cmd_cohomology_kummer, "Kummer class of x at a place")
-    p.add_argument("--x", required=True)
-    p.add_argument("--place", required=True, metavar="P", help="like 5 or 5'")
-    p.add_argument("--level", type=int, default=3)
-    p = leaf(coh_sub, "tate-class", cmd_cohomology_tate,
-             "adelic class of Tate parameters")
-    p.add_argument("--entry", action="append", metavar="P:Q",
-                   help="Tate parameter Q at the place over P (repeatable)")
-    p.add_argument("--arch", required=True, help="Schottky parameter, |q| < 1")
-    p.add_argument("--level", type=int, default=3)
-    p = leaf(coh_sub, "collate", cmd_cohomology_collate,
-             "merge labeled classes through transform families")
-    p.add_argument("--input", required=True, metavar="PATH")
-
-    tilt = sub.add_parser("tilt", help="perfectoid-side series operations")
-    tilt_sub = tilt.add_subparsers(dest="subcommand", metavar="SUBCOMMAND")
-    p = leaf(tilt_sub, "eval", cmd_tilt_eval, "one-parameter action [u] on a monomial")
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--u", required=True, help="p-integral rational")
-    p.add_argument("--exponent", required=True, help="positive rational exponent")
-    p.add_argument("--coeff", type=int, default=1)
-    p = leaf(tilt_sub, "artin-hasse", cmd_tilt_artin_hasse,
-             "p-integral exponential, optional isometry check")
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--degree", type=int, default=60)
-    p.add_argument("--exponent", help="evaluate at coeff * t^exponent")
-    p.add_argument("--coeff", type=int, default=1)
-    p = leaf(tilt_sub, "witt-check", cmd_tilt_witt_check,
-             "universal Witt polynomials against the ghost oracle")
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--count", type=int, default=200)
-
-    szp = sub.add_parser("szpiro", help="universal cover heights and theta links")
-    szp_sub = szp.add_subparsers(dest="subcommand", metavar="SUBCOMMAND")
-    p = leaf(szp_sub, "height", cmd_szpiro_height, "displacement height of one lift")
-    p.add_argument("--matrix", required=True, metavar="a,b;c,d")
-    p.add_argument("--winding", type=int, default=0)
-    p = leaf(szp_sub, "subadd", cmd_szpiro_subadd,
-             "Monte-Carlo subadditivity of the height")
-    p.add_argument("--count", type=int, default=1000)
-    p = leaf(szp_sub, "theta", cmd_szpiro_theta, "theta values and Schottky scaling")
-    p.add_argument("--tau", required=True, help='upper half plane, like "0.3+0.9j"')
-    p.add_argument("--ell", type=int, default=5)
-    p = leaf(szp_sub, "cor312", cmd_szpiro_cor312,
-             "sup-mid-degree chain for one random monodromy datum")
-    p.add_argument("--ell", type=int, default=5)
-    p.add_argument("--genus", type=int, default=0)
-    p.add_argument("--punctures", type=int, default=3)
-    p = leaf(szp_sub, "lattice", cmd_szpiro_lattice, "finite block of the theta lattice")
-    p.add_argument("--n", default="3", metavar="LO:HI")
-    p.add_argument("--m", default="-2:3", metavar="LO:HI")
-    p.add_argument("--ell", type=int, default=5)
-
-    for group_parser in (coh, tilt, szp):
-        group_parser.set_defaults(func=None)
+    subparsers = {(): parser.add_subparsers(metavar="COMMAND")}
+    for words, func, help_text, flags in COMMANDS:
+        *group, name = words.split()
+        if tuple(group) not in subparsers:
+            g = subparsers[()].add_parser(group[0], help=GROUPS[group[0]])
+            g.set_defaults(func=None)
+            subparsers[tuple(group)] = g.add_subparsers(metavar="SUBCOMMAND")
+        p = subparsers[tuple(group)].add_parser(name, help=help_text, epilog=epilog)
+        config = p.add_argument_group("configuration")
+        config.add_argument("--config", metavar="PATH", help="JSON config file")
+        for flag in KNOB_FLAGS:
+            flag.add_to(config)
+        for flag in flags:
+            flag.add_to(p)
+        p.set_defaults(func=func, flags=flags)
     return parser
+
+
+def check_flags(args: argparse.Namespace) -> None:
+    """Exit 1 on an out-of-range int flag or a non-finite float flag."""
+    for flag in args.flags:
+        val = getattr(args, flag.name[2:].replace("-", "_"))
+        if val is not None and flag.type is float and not math.isfinite(val):
+            raise CliError(f"{flag.name} must be finite, got {val}")
+        if val is not None and flag.bounds:
+            _in_range(flag.name, val, *flag.bounds)
 
 
 def main(argv=None) -> int:
@@ -1150,6 +1103,7 @@ def main(argv=None) -> int:
     if getattr(args, "func", None) is None:
         parser.error("a subcommand is required")
     try:
+        check_flags(args)
         cfg = resolve_config(args)
         result = args.func(cfg, args)
     except ValueError as exc:

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import subprocess
@@ -432,6 +433,47 @@ def test_validation_exit_codes(capsys, monkeypatch, tmp_path):
     ]:
         (tmp_path / name).write_text(json.dumps(payload))
         cases.append(([*argv, str(tmp_path / name)], name + detail))
+    digits = "7" * 5000
+    cases += [  # one value just past each bound of the flag table
+        (["height", "--z", "5", "--frobenius", "101"], "--frobenius"),
+        (["distance", "--frobenius=-101"], "--frobenius"),
+        (["stabilized-height", "--z", "5", "--max-factors", "4"], "--max-factors"),
+        (["stabilized-height", "--z", "5", "--prime-bound", "61"], "--prime-bound"),
+        (["orbit", "--bound", "101"], "--bound"),
+        (["orbit", "--denominator-bound", "0"], "--denominator-bound"),
+        (["frobenioid", "--x", "12", "--pullback", "65"], "--pullback"),
+        (["mutate", "--independent=-1", "--param", "q1:-2.0"], "--independent"),
+        (["cohomology", "kummer", "--x", "3", "--place", "5", "--level", "33"], "--level"),
+        (["cohomology", "tate-class", "--arch", "0.1", "--level", "33"], "--level"),
+        (["tilt", "eval", "--p", "1001", "--u", "2", "--exponent", "1"], "--p"),
+        (["tilt", "eval", "--p", "3", "--u", "2", "--exponent", "1", "--coeff", "1000001"],
+         "--coeff"),
+        (["tilt", "artin-hasse", "--p", "2", "--degree", "2001"], "--degree"),
+        (["tilt", "witt-check", "--p", "2", "--count", "5001"], "--count"),
+        (["szpiro", "height", "--matrix", "0,-1;1,0", "--winding", "1000001"], "--winding"),
+        (["szpiro", "subadd", "--count", "5001"], "--count"),
+        (["szpiro", "theta", "--tau", "0.3+0.9j", "--ell", "1001"], "--ell"),
+        (["szpiro", "cor312", "--genus", "101"], "--genus"),
+        (["szpiro", "cor312", "--punctures", "101"], "--punctures"),
+        (["szpiro", "lattice", "--n", "0:65"], "'0:65'"),
+        (["szpiro", "lattice", "--m=-65:0"], "'-65:0'"),
+    ]
+    cases += [  # internal exception text and non-finite floats
+        (["height", "--z", digits], "cannot parse element"),
+        (["height", "--z", "5", "--frobenius", "10000", "--deform", "3:1/2"], "--frobenius"),
+        (["cohomology", "tate-class", "--arch", "0.1", "--level", "1000000"], "--level"),
+        (["szpiro", "lattice", "--n", "abc"], "'abc'"),
+        (["distance", "--arch-scale", "inf"], "--arch-scale"),
+        (["degree", "--x", "5", "--arch-log", "nan"], "--arch-log"),
+        (["szpiro", "theta", "--tau", "1e400j"], "'1e400j'"),
+        (["cohomology", "tate-class", "--arch", "nan"], "'nan'"),
+        (["height", "--z", "1/0"], "'1/0'"),
+        (["height", "--z", "1e9999999,1"], "'1e9999999,1'"),
+        (["szpiro", "height", "--matrix", f"{digits},0;0,1"], "must have finite entries"),
+        (["szpiro", "height", "--matrix", "nan,0;0,1"], "must have finite entries"),
+        (["cohomology", "kummer", "--x", "3", "--place", digits], "cannot parse place token"),
+        (["frobenioid", "--x", "65537", "--mode", "real", "--pullback", "64"], "--pullback"),
+    ]
     for knob, value in [("grid", 100.7), ("seed", 1.5), ("grid", True)]:
         path = tmp_path / f"{knob}_{value}.json"
         path.write_text(json.dumps({knob: value}))
@@ -444,11 +486,26 @@ def test_validation_exit_codes(capsys, monkeypatch, tmp_path):
         assert time.perf_counter() - t0 < 1.0, argv
         err = capsys.readouterr().err
         assert token in err and "Traceback" not in err, (argv, err)
+        assert "invalid literal" not in err and "Exceeds the limit" not in err, (argv, err)
 
     for argv, token in cases:
         exits_1_naming(argv, token)
     monkeypatch.setenv("ARITHMETICOID_GRID", "abc")
     exits_1_naming(["szpiro", "height", "--matrix", "0,-1;1,0"], "grid")
+
+
+def test_flag_table_bounds_every_int_flag_and_checks_every_float_flag():
+    for words, _, _, flags in cli.COMMANDS:
+        assert {f.type for f in flags} <= {None, int, float}, words
+        for flag in [*cli.KNOB_FLAGS, *flags]:
+            if flag.type is int:
+                assert flag.bounds and flag.bounds != (None, None), (words, flag.name)
+        for flag in (f for f in flags if f.type is float):
+            for bad in (math.inf, -math.inf, math.nan):
+                args = argparse.Namespace(flags=flags, **{
+                    f.name[2:].replace("-", "_"): bad if f is flag else None for f in flags})
+                with pytest.raises(CliError, match=f"{flag.name} must be finite"):
+                    cli.check_flags(args)
 
 
 @pytest.mark.parametrize("prime", ["10000019", "1000000007"])

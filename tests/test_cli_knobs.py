@@ -16,7 +16,7 @@ from unittest import mock
 
 from hypothesis import example, given, settings, strategies as st
 
-from arithmeticoid.cli import CONFIG_DEFAULTS, ENV_PREFIX, KNOB_RANGES, main
+from arithmeticoid.cli import ENV_PREFIX, KNOBS, main
 
 SUBADD = ["szpiro", "subadd", "--count", "1"]
 # integer knob -> (a cheap command whose JSON output echoes it, the echo)
@@ -30,7 +30,8 @@ ECHO = {
     "coeff_k": (["tilt", "eval", "--p", "3", "--u", "2", "--exponent", "1/2"],
                 lambda d: len(d["terms"][0]["coeff"])),
 }
-RANGES = {"seed": (0, 2 ** 64 - 1), **KNOB_RANGES}
+# integer knob -> (lo, hi), read from the knob table
+RANGES = {key: knob[1] for key, knob in KNOBS.items() if isinstance(knob[0], int)}
 
 json_values = st.one_of(
     st.none(),
@@ -58,7 +59,7 @@ def _accepted(key, value) -> bool:
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
-@given(key=st.sampled_from(sorted(CONFIG_DEFAULTS)), value=json_values)
+@given(key=st.sampled_from(sorted(KNOBS)), value=json_values)
 @example(key="grid", value=100.7)
 @example(key="seed", value=1.5)
 @example(key="grid", value=True)
