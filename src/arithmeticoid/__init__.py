@@ -2,9 +2,9 @@
 
 The central names re-exported here cover the everyday workflow: build a number
 field, pick a carrier of local points, deform or twist it, and measure.
-Importing the package loads numfield (and with it sympy), adelic, ffcurve,
-tilt, heights and padic; only cohomology, szpiro (and with it numpy) and cli
-wait for their own module imports.
+Importing the package loads numfield, adelic, ffcurve, tilt, heights and
+padic, which need only the standard library; only cohomology, szpiro (and
+with it numpy) and cli wait for their own module imports.
 """
 
 from .numfield import (

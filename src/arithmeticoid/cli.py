@@ -420,6 +420,18 @@ def _residue_cells(v: Place, k) -> tuple:
 # ---------------------------------------------------------------------------
 # subcommands
 
+# Caps on the work a handler's loops multiply together, where per-flag ranges
+# cannot bound the product; each command at its cap took under 5 s (2 vCPUs).
+ORBIT_WORK = 150_000           # stabilizer checks
+SUBADD_WORK = 5000 * 1024      # count * grid: the --count bound at the default grid
+LATTICE_WORK = 16384 * 1024    # heights * grid, grids below 1024 counted as 1024
+
+
+def _check_work(flags: str, formula: str, work: int, cap: int) -> None:
+    if work > cap:
+        raise CliError(f"{flags} ask for {formula} = {work}, more than the cap of {cap}")
+
+
 def cmd_places(cfg: Config, args) -> CliResult:
     places = places_up_to(cfg.field, args.bound)
     doc = {"field": str(cfg.field), "bound": args.bound,
@@ -472,9 +484,12 @@ def cmd_stabilized_height(cfg: Config, args) -> CliResult:
 
 
 def cmd_orbit(cfg: Config, args) -> CliResult:
+    b_range = range(-args.bound, args.bound + 1) if cfg.field.d is not None else (0,)
+    _check_work(f"--bound {args.bound} and --denominator-bound {args.denominator_bound}",
+                "(2*bound+1)^degree * denominator_bound stabilizer checks",
+                (2 * args.bound + 1) * len(b_range) * args.denominator_bound, ORBIT_WORK)
     y = standard_arithmeticoid(cfg.field)
     found = {}
-    b_range = range(-args.bound, args.bound + 1) if cfg.field.d is not None else (0,)
     for den in range(1, args.denominator_bound + 1):
         for a in range(-args.bound, args.bound + 1):
             for b in b_range:
@@ -856,6 +871,8 @@ def _random_cover_elt(rng: sz.SplitMix64):
 
 
 def cmd_szpiro_subadd(cfg: Config, args) -> CliResult:
+    _check_work(f"--count {args.count} and grid {cfg.grid}", "count * grid",
+                args.count * cfg.grid, SUBADD_WORK)
     rng = sz.SplitMix64(cfg.seed)
     min_slack = math.inf
     violations = []
@@ -933,6 +950,10 @@ def cmd_szpiro_cor312(cfg: Config, args) -> CliResult:
 def cmd_szpiro_lattice(cfg: Config, args) -> CliResult:
     n_values = parse_range(args.n)
     m_values = parse_range(args.m)
+    _check_work(f"--n {args.n}, --m {args.m}, --ell {args.ell} and grid {cfg.grid}",
+                "|n| * |m| * (ell-1)/2 heights * max(grid, 1024)",
+                len(n_values) * len(m_values) * (args.ell - 1) // 2 * max(cfg.grid, 1024),
+                LATTICE_WORK)
     grid = sz.log_theta_lattice(n_values, m_values, args.ell, cfg.seed)
     sites = []
     rows = []

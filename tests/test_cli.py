@@ -474,6 +474,15 @@ def test_validation_exit_codes(capsys, monkeypatch, tmp_path):
         (["cohomology", "kummer", "--x", "3", "--place", digits], "cannot parse place token"),
         (["frobenioid", "--x", "65537", "--mode", "real", "--pullback", "64"], "--pullback"),
     ]
+    cases += [  # a factorization past its budget, and joint corners past their work caps
+        (["height", "--z", str(10 ** 120 + 7)], f"cannot factor {10 ** 120 + 7}"),
+        (["orbit", "--field", "Q(sqrt(-3))", "--bound", "100", "--denominator-bound", "100"],
+         "--bound 100 and --denominator-bound 100"),
+        (["szpiro", "subadd", "--count", "5000", "--grid", "65536"],
+         "--count 5000 and grid 65536"),
+        (["szpiro", "lattice", "--n=-64:64", "--m=-64:64", "--ell", "997"],
+         "--n -64:64, --m -64:64, --ell 997"),
+    ]
     for knob, value in [("grid", 100.7), ("seed", 1.5), ("grid", True)]:
         path = tmp_path / f"{knob}_{value}.json"
         path.write_text(json.dumps({knob: value}))

@@ -1,9 +1,14 @@
 import math
 import random
+import subprocess
+import sys
+import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from arithmeticoid import numfield
 from arithmeticoid.numfield import (
     FieldElement,
     FieldError,
@@ -99,18 +104,14 @@ def test_eisenstein_seven_splits():
 
 
 def test_splitting_matches_bruteforce_oracle():
-    from sympy import primerange
-
     for field in (QI, Q3, NumberField(5), NumberField(7), NumberField(163)):
-        for p in primerange(2, 60):
+        for p in numfield.primerange(2, 60):
             assert splitting_type(field, int(p)) == oracle_splitting(field, int(p)), (field, p)
 
 
 def test_local_degrees_sum_to_field_degree():
-    from sympy import primerange
-
     for field in (Q, QI, Q3, NumberField(5)):
-        for p in primerange(2, 60):
+        for p in numfield.primerange(2, 60):
             assert sum(v.e * v.f for v in places_over(field, int(p))) == field.degree
 
 
@@ -291,7 +292,7 @@ def test_divisor_support_has_one_home():
     assert heights.divisor_support is numfield.divisor_support
 
 
-def test_only_numfield_imports_sympy_number_theory():
+def test_no_module_imports_sympy():
     import ast
     from pathlib import Path
 
@@ -304,10 +305,141 @@ def test_only_numfield_imports_sympy_number_theory():
 
     offenders = []
     for path in sorted(Path(arithmeticoid.__file__).parent.glob("*.py")):
-        if path.stem == "numfield":
-            continue
         # ast.walk also reaches imports inside functions
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if imports_sympy(node):
                 offenders.append(f"{path.name}:{node.lineno}")
     assert not offenders, offenders
+
+
+def test_cli_import_leaves_sympy_unloaded():
+    code = ("import sys, arithmeticoid.cli; "
+            "print(sorted({m.split('.')[0] for m in sys.modules} & {'sympy', 'mpmath'}))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+# ---------------------------------------------------------------- number theory vs sympy
+
+SETTINGS = settings(max_examples=200, deadline=None, derandomize=True, database=None)
+CARMICHAEL = [561, 1105, 1729, 2465, 2821, 6601, 8911, 41041, 825265, 321197185,
+              5394826801, 232250619601, 9746347772161]
+# strong pseudoprimes to the first 4, 9, 12 and 13 prime bases
+STRONG_PSEUDOPRIMES = [3215031751, 3825123056546413051, 318665857834031151167461,
+                       numfield._MR_BOUND]
+STRONG_LUCAS_PSEUDOPRIMES = [5459, 5777, 10877, 16109, 18971, 22499, 24569, 25199, 40309]
+PRIME_SQUARES = [p * p for p in (1009, 65537, 1000003, 10 ** 12 + 39, 10 ** 13 + 37)]
+# within factorint's budget: every prime factor is below 10^8 or its square is n
+ADVERSARIAL = [0, 1, 2, 3, 4, 997, 1009, 997 * 997, 1009 * 1013, 977024578892552268,
+               (10 ** 12 + 39) ** 3, 1000003 ** 5 * 7, 2 ** 89 - 1, *CARMICHAEL,
+               *STRONG_PSEUDOPRIMES[:2], *STRONG_LUCAS_PSEUDOPRIMES, *PRIME_SQUARES]
+
+
+def _around_mr_bound():
+    """Primes and composites on both sides of the Miller-Rabin bound."""
+    from sympy import nextprime, prevprime
+
+    b = numfield._MR_BOUND
+    below, above = prevprime(b), nextprime(b)
+    return [below, b - 1, b + 1, above, below * above, nextprime(10 ** 30) * nextprime(10 ** 31)]
+
+
+@SETTINGS
+@given(st.integers(-10, 10 ** 30))
+def test_isprime_matches_sympy(n):
+    from sympy import isprime as sympy_isprime
+
+    assert numfield.isprime(n) == sympy_isprime(n)
+
+
+def test_isprime_on_adversarial_inputs_and_both_sides_of_the_miller_rabin_bound():
+    from sympy import isprime as sympy_isprime
+
+    for n in [*ADVERSARIAL, *STRONG_PSEUDOPRIMES, *_around_mr_bound()]:
+        assert numfield.isprime(n) == sympy_isprime(n), n
+    assert not numfield.isprime(numfield._MR_BOUND)  # fools all 13 Miller-Rabin bases
+
+
+def _free_of_trial_primes(n):
+    """The least m >= n that no prime below 1000 divides."""
+    while any(n % p == 0 for p in numfield._TRIAL_PRIMES):
+        n += 1
+    return n
+
+
+@SETTINGS
+@given(st.one_of(st.integers(10 ** 3, 10 ** 40).map(_free_of_trial_primes),
+                 st.sampled_from(STRONG_LUCAS_PSEUDOPRIMES)))
+@example(1093 ** 2)  # a square passes base 2 here, and has no Selfridge D
+@example((10 ** 13 + 37) ** 2)
+def test_strong_lucas_test_matches_sympy(n):
+    from sympy.ntheory.primetest import is_strong_lucas_prp
+
+    assert numfield._strong_lucas_probable_prime(n) == is_strong_lucas_prp(n)
+
+
+def _check_factorint(n):
+    from sympy import factorint as sympy_factorint
+
+    got = numfield.factorint(n)
+    assert got == sympy_factorint(n), n
+    assert list(got) == sorted(got), n
+
+
+@SETTINGS
+@given(st.one_of(st.integers(-10 ** 15, 10 ** 15),
+                 st.lists(st.integers(1, 10 ** 6), min_size=1, max_size=4).map(math.prod)))
+def test_factorint_matches_sympy_in_ascending_order(n):
+    _check_factorint(n)
+
+
+def test_factorint_on_adversarial_inputs():
+    # the first four lie next to the bound and have no two factors above 10^8
+    for n in [*ADVERSARIAL, *_around_mr_bound()[:4]]:
+        _check_factorint(n)
+    # sympy lists 88009829 before 71162257 here
+    assert list(numfield.factorint(977024578892552268)) == [2, 3, 13, 71162257, 88009829]
+
+
+def test_factorint_gives_up_at_its_budget():
+    t0 = time.perf_counter()
+    with pytest.raises(FieldError, match=f"FACTOR_BUDGET = {numfield.FACTOR_BUDGET}"):
+        numfield.factorint(10 ** 120 + 7)
+    assert time.perf_counter() - t0 < 1.0
+    # two primes near 10^13: rho needs about 3 * 10^6 steps, past the budget
+    n = (10 ** 13 + 37) * (10 ** 13 + 51)
+    with pytest.raises(FieldError, match=f"cannot factor {n}"):
+        numfield.factorint(n)
+
+
+@SETTINGS
+@given(st.integers(0, 10 ** 7), st.integers(0, 3000))
+@example(0, 3000)
+@example(2, 1)
+def test_primerange_matches_sympy(a, length):
+    from sympy import primerange as sympy_primerange
+
+    assert numfield.primerange(a, a + length) == list(sympy_primerange(a, a + length))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(numfield.primerange(2, 3000)))
+@example(2)
+@example(257)   # 2^8 + 1
+@example(769)   # 3 * 2^8 + 1
+@example(2689)  # 21 * 2^7 + 1
+def test_sqrt_mod_matches_sympy_at_every_residue(p):
+    from sympy.ntheory.residue_ntheory import sqrt_mod as sympy_sqrt_mod
+
+    for a in range(p):
+        assert numfield.sqrt_mod(a, p) == sympy_sqrt_mod(a, p), (a, p)
+
+
+def test_split_roots_at_a_large_prime():
+    # 998244353 = 119 * 2^23 + 1: Tonelli-Shanks runs through all 23 levels
+    p = 998244353
+    assert splitting_type(QI, p) == "split"
+    r0, r1 = numfield._split_roots(QI, p)
+    assert r0 < r1 and (r0 * r0 + 1) % p == 0 and (r1 * r1 + 1) % p == 0
