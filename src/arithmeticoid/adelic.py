@@ -80,8 +80,10 @@ class Arithmeticoid:
 
     def component(self, v: Place) -> LocalPoint:
         """Materialize the local point at v, applying the lazy Frobenius shift."""
-        pt = self.deviation_map().get(v)
-        if pt is None:
+        for w, pt in self.deviations:
+            if w == v:
+                break
+        else:
             pt = standard_point(v)
         if v.is_archimedean:
             return pt  # phi_infinity is the identity
@@ -176,18 +178,30 @@ def distance(y1: Arithmeticoid, y2: Arithmeticoid) -> float:
     the omitted tail is bounded by 2^-DISTANCE_PREFIX.  Indices are looked up
     among the first DISTANCE_LIMIT = 1074 places only: 2.0 ** -n is 0.0 in
     double precision for n >= 1075, so a deviation further out adds exactly 0.0.
+
+    A finite place outside both supports holds the standard point under each
+    lazy shift, so d_n = log(p ** |m1 - m2|) for the Frobenius shifts m1, m2:
+    the float that `local_distance` gives there, and 0 when the shifts agree.
+    Only support places materialize local points.
     """
     if y1.field != y2.field:
         raise AdelicError("distance needs a common field")
     places = canonical_place_list(y1.field, DISTANCE_LIMIT)
     last = place_key(places[-1])
-    indices = set(range(1, DISTANCE_PREFIX + 1))
-    indices.update(place_index(v) for v in y1.support() + y2.support()
-                   if place_key(v) <= last)
+    support = {v for v in y1.support() + y2.support() if place_key(v) <= last}
+    shift = abs(y1.frobenius_shift - y2.frobenius_shift)
+    indices = {place_index(v) for v in support}
+    if shift:
+        indices.update(range(1, DISTANCE_PREFIX + 1))
     total = 0.0
     for n in sorted(indices):
         v = places[n - 1]
-        d = local_distance(y1.component(v), y2.component(v))
+        if v in support:
+            d = local_distance(y1.component(v), y2.component(v))
+        elif v.is_archimedean:
+            continue  # s = 1 on both sides
+        else:
+            d = math.log(v.prime ** shift)
         if d:
             total += 2.0 ** (-n) * d / (1.0 + d)
     return total

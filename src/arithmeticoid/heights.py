@@ -10,6 +10,13 @@ are visible to the height (this is what makes the stabilized height a strict
 improvement for suitable samples).  With s = 1 the raw pairing equals the
 normalized one and the classical product-formula invariance holds on the nose.
 
+The rigid finite part gives the stabilized height a closed form.  An element
+a of L* moves only the archimedean ruler, s -> |N(a)| * s, so the orbit point
+a.y scores fin + |N(a)| * s * L, where fin and L = max(0, log|N z|) come from
+the one base report at y.  The sup keeps the first element in sample order
+that scores strictly above the running best, exactly as a walk over the
+orbit would.
+
 Also here: arithmetic degrees of ideloids, the divisor monoids (integral,
 perfected, realified) with Frobenius pullback, inversion of the modular
 j-expansion to recover a Tate parameter p-adically, and the norm comparison
@@ -35,8 +42,8 @@ from .numfield import (
     place_key,
     primerange,
 )
-from .ffcurve import LocalPointArch, LocalPointNonArch, curve_log_abs
-from .adelic import Arithmeticoid, lstar_act, stabilizer_check
+from .ffcurve import LocalPointArch, LocalPointNonArch, arch_act, curve_log_abs
+from .adelic import AdelicError, Arithmeticoid
 from .padic import PadicScalar
 
 J_DATA_RESOURCE = "data/j_qexp.txt"
@@ -188,18 +195,27 @@ def stabilized_height(y: Arithmeticoid, z: FieldElement, sample=None) -> float:
 def stabilized_height_report(y: Arithmeticoid, z: FieldElement, sample=None):
     """(value, witness) version; witness None means the orbit point y itself.
 
-    Trivial actors are skipped: their orbit point is y, whose height is the
-    base, and a witness must beat the best value strictly.
+    Closed form, no orbit is built: a.y scores fin + s_a * L, with fin (the
+    finite sum, f_v * max(0, -ord_v z) at every carrier) and L (log_abs) read
+    off the one report scalar_height(y, z), and s_a = |N(a)| * s as `arch_act`
+    moves y's archimedean point.  These are the floats, added in the order,
+    that scalar_height(lstar_act(a, y), z).total adds.  A witness must beat
+    the best value strictly, so ties go to the first element in sample order
+    and trivial actors, which score the base, never win.
     """
     if sample is None:
         sample = default_sample(y.field)
-    best, witness = scalar_height(y, z).total, None
+    base = scalar_height(y, z)
+    fin = sum(t.value for t in base.finite)
+    log_abs = base.archimedean.log_abs
+    arch = y.component(archimedean_place(y.field))
+    best, witness = base.total, None
     for a in sample:
         if a.is_zero():
             raise HeightError("sample elements must be nonzero")
-        if stabilizer_check(a, y):
-            continue
-        t = scalar_height(lstar_act(a, y), z).total
+        if a.field != y.field:
+            raise AdelicError("element and arithmeticoid fields differ")
+        t = fin + arch_act(float(abs(a.norm())), arch).s * log_abs
         if t > best:
             best, witness = t, a
     return best, witness

@@ -293,6 +293,7 @@ def _squarefree(n: int) -> bool:
 
 
 _FIELD_RE = re.compile(r"^Q(?:\(sqrt\((-\d+)\)\))?$")
+_ZERO = Fraction(0)  # the omega coordinate of every element built with b = 0
 
 
 @dataclass(frozen=True)
@@ -343,7 +344,10 @@ class NumberField:
         return cls(-int(m.group(1)))
 
     def element(self, a, b=0) -> "FieldElement":
-        return FieldElement(self, Fraction(a), Fraction(b))
+        """a + b*omega; a Fraction coordinate is kept as given, not copied."""
+        a = a if type(a) is Fraction else Fraction(a)
+        b = _ZERO if b == 0 else b if type(b) is Fraction else Fraction(b)
+        return FieldElement(self, a, b)
 
     def one(self) -> "FieldElement":
         return self.element(1)
@@ -360,7 +364,7 @@ class NumberField:
         return "Q" if self.d is None else f"Q(sqrt(-{self.d}))"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FieldElement:
     """a + b*omega with exact Fraction coordinates; b = 0 over Q."""
 
@@ -416,7 +420,7 @@ class FieldElement:
         if self.is_zero():
             raise ZeroDivisionError("inverse of 0")
         if self.field.d is None:
-            return FieldElement(self.field, 1 / self.a, Fraction(0))
+            return FieldElement(self.field, 1 / self.a, _ZERO)
         nrm = self.norm()
         c = self.conjugate()
         return FieldElement(self.field, c.a / nrm, c.b / nrm)

@@ -4,7 +4,10 @@ from fractions import Fraction
 
 import pytest
 
+from arithmeticoid import adelic
 from arithmeticoid.adelic import (
+    DISTANCE_LIMIT,
+    DISTANCE_PREFIX,
     AdelicError,
     Arithmeticoid,
     HyperplanePoint,
@@ -28,7 +31,7 @@ from arithmeticoid.adelic import (
     stabilizer_check,
     standard_arithmeticoid,
 )
-from arithmeticoid.ffcurve import LocalPointArch, LocalPointNonArch, local_point
+from arithmeticoid.ffcurve import LocalPointArch, LocalPointNonArch, local_distance, local_point
 from arithmeticoid.numfield import (
     FieldError,
     NumberField,
@@ -284,6 +287,75 @@ def test_distance_axioms_random_triples():
         assert distance(a, b) == distance(b, a)
         assert distance(a, a) == 0.0
         assert distance(a, b) <= distance(a, c) + distance(c, b) + 1e-12
+
+
+def distance_oracle(y1, y2):
+    """The distance as a walk that materializes both local points at every
+    summed place, support or not."""
+    if y1.field != y2.field:
+        raise AdelicError("distance needs a common field")
+    places = canonical_place_list(y1.field, DISTANCE_LIMIT)
+    last = place_key(places[-1])
+    indices = set(range(1, DISTANCE_PREFIX + 1))
+    indices.update(place_index(v) for v in y1.support() + y2.support()
+                   if place_key(v) <= last)
+    total = 0.0
+    for n in sorted(indices):
+        v = places[n - 1]
+        d = local_distance(y1.component(v), y2.component(v))
+        if d:
+            total += 2.0 ** (-n) * d / (1.0 + d)
+    return total
+
+
+def oracle_carrier(rng, field, shift):
+    """0-2 finite deviations among the first places, past the summed prefix
+    and past DISTANCE_LIMIT (about a third of those over primes below 12 with
+    a concrete Hahn layer), an archimedean scale half the time, and the given
+    Frobenius shift."""
+    places = canonical_place_list(field, DISTANCE_LIMIT + 8)
+    finite = places[1:12] + [places[70], places[400], places[DISTANCE_LIMIT + 3]]
+    deviations = {}
+    for v in rng.sample(finite, rng.randint(0, 2)):
+        e = F(rng.randint(1, 8), rng.randint(1, 8))
+        if v.prime < 12 and rng.random() < 1 / 3:
+            deviations[v] = local_point(v, concrete=monomial(v.prime, e, cap=F(10)))
+        else:
+            deviations[v] = local_point(v, e=e)
+    if rng.random() < 0.5:
+        deviations[archimedean_place(field)] = LocalPointArch(math.exp(rng.uniform(-1, 1)))
+    return make_arithmeticoid(field, deviations, frobenius_shift=shift)
+
+
+@pytest.mark.parametrize("d", [None, 1, 3, 5])
+def test_distance_matches_the_materializing_walk(d):
+    rng = random.Random(0xD15 + (d or 0))
+    K = NumberField(d)
+    pts = [standard_arithmeticoid(K)]
+    pts += [oracle_carrier(rng, K, shift) for shift in range(-5, 6) for _ in range(2)]
+    for a in pts:
+        for b in pts:
+            assert distance(a, b) == distance_oracle(a, b), (a, b)
+
+
+def test_distance_builds_points_only_at_support_places(monkeypatch):
+    seen = []
+    frobenius_point = adelic.frobenius_point
+
+    def counted(pt, m=1):
+        seen.append(pt.place)
+        return frobenius_point(pt, m)
+
+    monkeypatch.setattr(adelic, "frobenius_point", counted)
+    y0 = standard_arithmeticoid(QI)
+    v5, v13 = v_of(QI, 5, 1), v_of(QI, 13)
+    a = deform(global_frobenius(y0, 3), v5, local_point(v5, e=F(7, 2)))
+    b = deform(global_frobenius(y0, -2), v13, local_point(v13, e=F(1, 3)))
+    assert distance(a, b) > 0
+    assert seen and set(seen) <= {v5, v13}
+    seen.clear()
+    assert distance(global_frobenius(y0, 4), y0) > 0
+    assert seen == []
 
 
 # ---------------------------------------------------------------- normalization

@@ -5,12 +5,28 @@ from importlib import resources
 
 import pytest
 
-from arithmeticoid.numfield import NumberField, archimedean_place, places_over
-from arithmeticoid.ffcurve import LocalPointArch, frobenius_point, local_point, standard_point
+from arithmeticoid import adelic, heights
+from arithmeticoid.numfield import (
+    NumberField,
+    archimedean_place,
+    canonical_place_list,
+    places_over,
+    roots_of_unity,
+)
+from arithmeticoid.ffcurve import (
+    CurveError,
+    LocalPointArch,
+    frobenius_point,
+    local_point,
+    standard_point,
+)
 from arithmeticoid.adelic import (
+    AdelicError,
     deform,
     global_frobenius,
     lstar_act,
+    make_arithmeticoid,
+    stabilizer_check,
     standard_arithmeticoid,
 )
 from arithmeticoid.heights import (
@@ -41,6 +57,7 @@ from arithmeticoid.heights import (
     tate_j_value,
 )
 from arithmeticoid.padic import PadicScalar
+from arithmeticoid.tilt import monomial
 
 Q = NumberField.parse("Q")
 QI = NumberField.parse("Q(sqrt(-1))")
@@ -96,6 +113,21 @@ def write_j_data(path, n_max: int = 64):
         lines.append(f"{k} {c}")
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+def orbit_report_oracle(y, z, sample):
+    """The stabilized report as a walk over the orbit: act by every sample
+    element that moves y and measure the height at each orbit point."""
+    best, witness = scalar_height(y, z).total, None
+    for a in sample:
+        if a.is_zero():
+            raise HeightError("sample elements must be nonzero")
+        if stabilizer_check(a, y):
+            continue
+        t = scalar_height(lstar_act(a, y), z).total
+        if t > best:
+            best, witness = t, a
+    return best, witness
 
 
 def weil_height_q(z: Fraction) -> float:
@@ -320,6 +352,120 @@ def test_stabilized_height_is_the_report_value_on_the_acceptance_sample():
     for stabilized in (stabilized_height, stabilized_height_report):
         with pytest.raises(HeightError):
             stabilized(y0, Q.element(Fraction(5)), with_zero)
+
+
+ORACLE_FIELDS = (Q, QI, NumberField(3), NumberField(5))
+
+
+def oracle_carrier(rng, field, shift):
+    """0-2 finite deviations (about a third with a concrete Hahn layer), an
+    archimedean scale half the time, and the given Frobenius shift."""
+    finite = [v for v in canonical_place_list(field, 10) if not v.is_archimedean]
+    deviations = {}
+    for v in rng.sample(finite, rng.randint(0, 2)):
+        e = Fraction(rng.randint(1, 8), rng.randint(1, 8))
+        if rng.random() < 1 / 3:
+            deviations[v] = local_point(v, concrete=monomial(v.prime, e, cap=Fraction(10)))
+        else:
+            deviations[v] = local_point(v, e=e)
+    if rng.random() < 0.5:
+        deviations[archimedean_place(field)] = LocalPointArch(math.exp(rng.uniform(-1, 1)))
+    return make_arithmeticoid(field, deviations, frobenius_shift=shift)
+
+
+def oracle_values(rng, field):
+    """Elements with |N z| below 1, at 1 (torsion or not) and above 1."""
+    def element():
+        b = 0 if field.d is None else Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+        return field.element(Fraction(rng.randint(-6, 6), rng.randint(1, 4)), b)
+
+    buckets = {-1: [], 0: [], 1: []}
+    while min(len(b) for b in buckets.values()) < 2:
+        x = element()
+        if x.is_zero():
+            continue
+        n = abs(x.norm())
+        buckets[(n > 1) - (n < 1)].append(x)
+        buckets[0].append(x / x.conjugate())
+    return buckets[-1][:2] + buckets[0][:2] + buckets[1][:2]
+
+
+def oracle_sample(field):
+    """A small default sample plus torsion, norm-1 non-torsion and non-rational actors."""
+    sample = default_sample(field, 1, 7) + list(roots_of_unity(field))
+    if field.d is not None:
+        for a, b in ((1, 1), (2, 1), (-3, 2), (Fraction(1, 2), 3)):
+            x = field.element(a, b)
+            sample += [x, x.inverse(), x / x.conjugate()]
+    return sample
+
+
+def test_stabilized_report_matches_the_orbit_walk():
+    rng = random.Random(0x5AB)
+    cases = 0
+    for field in ORACLE_FIELDS:
+        base_sample = oracle_sample(field)
+        for shift in range(-5, 6):
+            y = oracle_carrier(rng, field, shift)
+            for z in oracle_values(rng, field):
+                sample = rng.sample(base_sample, len(base_sample))
+                assert stabilized_height_report(y, z, sample) == \
+                    orbit_report_oracle(y, z, sample), (y, z)
+                cases += 1
+    assert cases == 4 * 11 * 6
+
+
+def test_stabilized_report_matches_the_orbit_walk_on_the_default_sample():
+    y0 = standard_arithmeticoid(Q)
+    five = Q.element(5)
+    sample = default_sample(Q)
+    assert len(sample) == 9982
+    value, witness = stabilized_height_report(y0, five)
+    assert (value, witness) == orbit_report_oracle(y0, five, sample)
+    assert witness == Q.element(-103823)
+
+
+def test_stabilized_report_builds_no_orbit(monkeypatch):
+    calls = {"lstar_act": 0, "stabilizer_check": 0, "scalar_height": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("lstar_act", "stabilizer_check"):
+        wrapper = counted(name, getattr(adelic, name))
+        monkeypatch.setattr(adelic, name, wrapper)
+        monkeypatch.setattr(heights, name, wrapper, raising=False)
+    monkeypatch.setattr(heights, "scalar_height",
+                        counted("scalar_height", heights.scalar_height))
+    y = deform(global_frobenius(standard_arithmeticoid(QI), 2),
+               archimedean_place(QI), LocalPointArch(0.5))
+    sample = default_sample(QI, 2, 13)[:100]
+    assert len(sample) == 100
+    value, witness = stabilized_height_report(y, QI.element(5, 2), sample)
+    assert witness is not None
+    assert calls == {"lstar_act": 0, "stabilizer_check": 0, "scalar_height": 1}
+
+
+def test_stabilized_report_error_paths():
+    y0 = standard_arithmeticoid(Q)
+    five = Q.element(5)
+    for report in (stabilized_height_report, orbit_report_oracle):
+        with pytest.raises(HeightError):
+            report(y0, five, [Q.element(2), Q.zero()])
+        with pytest.raises(AdelicError):
+            report(y0, five, [Q.element(2), QI.element(2, 1)])
+        with pytest.raises(CurveError):
+            report(y0, five, [Q.element(2), Q.element(Fraction(1, 10 ** 400))])
+    # a foreign-field root of unity raises too; the orbit walk skipped it as trivial
+    with pytest.raises(AdelicError):
+        stabilized_height_report(y0, five, [QI.omega()])
+    assert orbit_report_oracle(y0, five, [QI.omega()]) == (scalar_height(y0, five).total, None)
+    # the closed form factors nothing, so an actor past the factoring budget is fine
+    big = Q.element(10 ** 120 + 7)
+    assert stabilized_height_report(y0, five, [big]) == (float(big.a) * math.log(5), big)
 
 
 # ---------------------------------------------------------------------------
