@@ -5,7 +5,10 @@ standard point, plus a lazy global Frobenius shift (the shift multiplies every
 finite Beltrami exponent by p^shift and is materialized per place on demand).
 On top of the space: the L*-action, the unit (Lubin-Tate) action on concrete
 layers, a metric, normalization coordinates, the product-formula hyperplane
-and period map, and the toy mutation of Tate parameters.
+and period map, and the toy mutation of Tate parameters.  Every coordinate is
+exact: Fraction Beltrami exponents at finite places and a Fraction scale s at
+the archimedean one, so the L*-action composes exactly and equal carriers sit
+at distance 0.
 
 The canonical place order (archimedean first, then finite by prime and
 conjugate index) lives in numfield; `canonical_place_list`, `place_index` and
@@ -26,7 +29,6 @@ from .numfield import (
     archimedean_place,
     canonical_place_list,
     divisor_support,
-    place_from_json,
     place_index,
     place_key,
     prime_exponents,
@@ -136,8 +138,8 @@ def lstar_act(x: FieldElement, y: Arithmeticoid) -> Arithmeticoid:
     for v, o in divisor_support(x):
         entries[v] = frobenius_point(entries.get(v, standard_point(v)), o)
     arch = archimedean_place(y.field)
-    modulus = float(abs(x.norm()))  # Artin |x|_v at the (complex or real) place
-    if modulus != 1.0:
+    modulus = abs(x.norm())  # Artin |x|_v at the (complex or real) place
+    if modulus != 1:
         entries[arch] = arch_act(modulus, entries.get(arch, standard_point(arch)))
     label = f"{x}.{y.label}" if y.label else ""
     return make_arithmeticoid(y.field, entries, y.frobenius_shift, label)
@@ -214,15 +216,16 @@ def distance(y1: Arithmeticoid, y2: Arithmeticoid) -> float:
 class NormalizationCoordinate:
     """Per-place exponents restoring the standard absolute values.
 
-    alpha_v = (e_v f_v) / e at a finite place with Beltrami exponent e (exact
-    Fraction, = 1 at the standard point) and 1/s at the archimedean place. The
-    lazy Frobenius shift contributes p^-shift at every finite place; overrides
-    hold the deviation places.
+    alpha_v = (e_v f_v) / e at a finite place with Beltrami exponent e (= 1 at
+    the standard point) and 1/s at the archimedean place, all exact Fractions.
+    The lazy Frobenius shift gives p^-shift at every finite place; overrides
+    list, in canonical place order, exactly the places whose alpha differs
+    from that.
     """
 
     field: NumberField
     shift: int
-    arch: float
+    arch: Fraction
     overrides: tuple  # ((Place, Fraction), ...)
 
     def at(self, v: Place):
@@ -232,14 +235,17 @@ class NormalizationCoordinate:
 
 
 def normalization_coordinate(y: Arithmeticoid) -> NormalizationCoordinate:
+    """The canonical coordinates of y: a deviation whose Beltrami exponent is
+    standard (it differs only in its concrete Hahn layer) has alpha = p^-shift
+    and is left out of the overrides."""
     overrides = []
-    arch = 1.0
+    arch = Fraction(1)
     for v, pt in y.deviations:
         if v.is_archimedean:
-            arch = 1.0 / pt.s
-        else:
-            shifted = frobenius_point(pt, y.frobenius_shift) if y.frobenius_shift else pt
-            overrides.append((v, Fraction(v.e * v.f) / shifted.e))
+            arch = 1 / pt.s
+        elif pt.e != v.local_degree:
+            e = pt.e * Fraction(v.prime) ** y.frobenius_shift
+            overrides.append((v, v.local_degree / e))
     return NormalizationCoordinate(y.field, y.frobenius_shift, arch, tuple(overrides))
 
 
@@ -247,48 +253,14 @@ def normalization_coordinate(y: Arithmeticoid) -> NormalizationCoordinate:
 class HyperplanePoint:
     """Projective class of a normalization-coordinate vector.
 
-    Equality divides both vectors by their gauge (the first non-1 coordinate in
-    canonical place order) and then compares: exact at finite places, 1e-12 at
-    the archimedean one. Within the sparse-deviation class two vectors are
-    projectively equal only with scalar 1, but the gauge convention is applied
-    regardless.
+    Value equality of the canonical coordinates is projective equality.  Two
+    vectors with shifts m1, m2 that agree up to a scalar lambda agree in
+    particular at the infinitely many finite places outside both supports,
+    where p^-m1 = lambda * p^-m2 for every such prime p; that forces m1 = m2
+    and lambda = 1.
     """
 
     coords: NormalizationCoordinate
-
-    def _gauge(self):
-        c = self.coords
-        if c.arch != 1.0:
-            return c.arch
-        if c.shift == 0:
-            return min(c.overrides, key=lambda t: place_key(t[0]), default=(None, Fraction(1)))[1]
-        # shift rule: every finite coordinate differs from 1; the first finite
-        # place in canonical order carries the gauge
-        return c.at(canonical_place_list(c.field, 2)[1])
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, HyperplanePoint):
-            return NotImplemented
-        a, b = self.coords, other.coords
-        if a.field != b.field or a.shift != b.shift:
-            return False
-        ga, gb = self._gauge(), other._gauge()
-        if not math.isclose(a.arch / float(ga), b.arch / float(gb), rel_tol=0, abs_tol=1e-12):
-            return False
-        places = {v for v, _ in a.overrides} | {v for v, _ in b.overrides}
-        for v in sorted(places, key=place_key):
-            xa, xb = a.at(v), b.at(v)
-            if isinstance(ga, Fraction) and isinstance(gb, Fraction):
-                if xa / ga != xb / gb:
-                    return False
-            elif not math.isclose(float(xa) / float(ga), float(xb) / float(gb),
-                                  rel_tol=0, abs_tol=1e-12):
-                return False
-        # scalar consistency on the unlisted places: p^-shift / gauge must match
-        return math.isclose(float(ga), float(gb), rel_tol=0, abs_tol=1e-12)
-
-    def __hash__(self):
-        return hash((self.coords.field, self.coords.shift))
 
 
 def period_map(y: Arithmeticoid) -> HyperplanePoint:
@@ -393,47 +365,3 @@ def mutate_tate_parameters(params, independent_count: int) -> MutationReport:
         else:
             entries.append(MutationEntry(q.name, False, q.log_abs, q.log_abs))
     return MutationReport(tuple(entries), r)
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-def arithmeticoid_to_json(y: Arithmeticoid) -> dict:
-    devs = []
-    for v, pt in y.deviations:
-        rec: dict = {"place": v.to_json()}
-        if isinstance(pt, LocalPointArch):
-            rec["s"] = pt.s
-        else:
-            rec["e"] = f"{pt.e.numerator}/{pt.e.denominator}"
-            if pt.concrete is not None:
-                rec["hahn"] = pt.concrete.to_json()
-        devs.append(rec)
-    return {
-        "field": str(y.field),
-        "label": y.label,
-        "deviations": devs,
-        "frobenius_shift": y.frobenius_shift,
-    }
-
-
-def arithmeticoid_from_json(data: dict) -> Arithmeticoid:
-    from .tilt import DEFAULT_CAP, DEFAULT_K, hahn
-
-    field = NumberField.parse(data["field"])
-    entries = {}
-    for rec in data.get("deviations", []):
-        v = place_from_json(field, rec["place"])
-        if v.is_archimedean:
-            entries[v] = LocalPointArch(float(rec["s"]))
-            continue
-        concrete = None
-        if "hahn" in rec:
-            terms = {
-                Fraction(t["exponent"]): tuple(t["coeff"])
-                for t in rec["hahn"]
-            }
-            concrete = hahn(v.prime, terms, DEFAULT_CAP, DEFAULT_K)
-        entries[v] = LocalPointNonArch(v, Fraction(rec["e"]), concrete)
-    return make_arithmeticoid(field, entries, int(data.get("frobenius_shift", 0)),
-                              str(data.get("label", "")))

@@ -301,11 +301,13 @@ def build_carrier(cfg: Config, args: argparse.Namespace):
         if e <= 0:
             raise CliError("deformation exponent must be > 0")
         y = deform(y, v, local_point(v, e))
-    s = getattr(args, "arch_scale", None)
-    if s is not None:
-        if s <= 0:
-            raise CliError("archimedean scale must be > 0")
-        y = deform(y, archimedean_place(cfg.field), LocalPointArch(float(s)))
+    text = getattr(args, "arch_scale", None)
+    if text is not None:
+        try:
+            point = LocalPointArch(parse_fraction(text))
+        except ValueError as exc:
+            raise CliError(f"--arch-scale: {exc}") from exc
+        y = deform(y, archimedean_place(cfg.field), point)
     m = getattr(args, "frobenius", None)
     if m:
         y = global_frobenius(y, m)
@@ -465,7 +467,11 @@ def cmd_height(cfg: Config, args) -> CliResult:
 def cmd_stabilized_height(cfg: Config, args) -> CliResult:
     y = build_carrier(cfg, args)
     if args.scale:
-        y = lstar_act(parse_element(cfg.field, args.scale), y)
+        x = parse_element(cfg.field, args.scale)
+        try:
+            y = lstar_act(x, y)
+        except ValueError as exc:
+            raise CliError(f"--scale: {exc}") from exc
     z = parse_element(cfg.field, args.z)
     base = scalar_height(y, z).total
     sample = default_sample(cfg.field, args.max_factors, args.prime_bound)
@@ -558,7 +564,7 @@ def cmd_period_map(cfg: Config, args) -> CliResult:
     doc = {
         "field": str(cfg.field),
         "frobenius_shift": coords.shift,
-        "archimedean": coords.arch,
+        "archimedean": float(coords.arch),
         "overrides": [{"place": str(v), "alpha": str(a)} for v, a in coords.overrides],
         "all_ones": all_ones,
     }
@@ -1006,7 +1012,7 @@ KNOB_FLAGS = [
 CARRIER = [
     Flag("--deform", repeat=True, metavar="P:E",
          help="Beltrami exponent E at the place over P (repeatable)"),
-    Flag("--arch-scale", float, metavar="S", help="archimedean scale s > 0"),
+    Flag("--arch-scale", metavar="S", help="rational archimedean scale s > 0"),
     Flag("--frobenius", int, 0, (-100, 100), "global Frobenius twists", metavar="M"),
 ]
 X = Flag("--x", required=True, help="nonzero field element")

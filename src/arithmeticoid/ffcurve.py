@@ -2,9 +2,10 @@
 
 A non-archimedean point is the data |p|_{K_y} = p^(-e) for an exact rational
 Beltrami exponent e > 0, optionally backed by a concrete Hahn representative a
-with e = valuation(a). The archimedean curve is R^{>0}: the point s stands for
-the untilt (C, |.|^s). Frobenius multiplies e by p resp. acts trivially at the
-archimedean place; both layers stay exactly consistent.
+with e = valuation(a). The archimedean curve is R^{>0}: the point s, an exact
+positive Fraction, stands for the untilt (C, |.|^s). Frobenius multiplies e by
+p resp. acts trivially at the archimedean place; both layers stay exactly
+consistent.
 
 Calibration: the standard point at a finite place v carries e = e_v * f_v (the
 local degree), so that the normalized value alpha_v * log|x|_{K_y} recovers the
@@ -60,13 +61,44 @@ class LocalPointNonArch:
 
 @dataclass(frozen=True)
 class LocalPointArch:
-    """The untilt (C, |.|^s) of the archimedean curve R^{>0}."""
+    """The untilt (C, |.|^s) of the archimedean curve R^{>0}.
 
-    s: float
+    s is stored as an exact Fraction; a float converts exactly.  It must round
+    to a positive finite float, so that heights can evaluate s * log|x|.
+    """
+
+    s: Fraction
 
     def __post_init__(self):
-        if not self.s > 0:
-            raise CurveError(f"archimedean parameter must be positive, got {self.s}")
+        s = self.s
+        if isinstance(s, float) and not math.isfinite(s):
+            raise CurveError(f"archimedean parameter must be finite, got {s}")
+        s = Fraction(s)
+        if s <= 0:
+            raise CurveError(f"archimedean parameter must be positive, got {s}")
+        arch_float(s.numerator, s.denominator)
+        object.__setattr__(self, "s", s)
+
+
+def arch_float(num: int, den: int) -> float:
+    """The archimedean scale num/den > 0 as the correctly rounded float.
+
+    CurveError when it rounds to 0 or past the largest float; the message gives
+    digit counts, since str() of an int past 4,300 digits raises.
+    """
+    try:
+        s = num / den
+    except OverflowError:
+        s = math.inf
+    if not 0.0 < s < math.inf:
+        raise CurveError(f"archimedean scale n/d with {_digits(num)}-digit n and "
+                         f"{_digits(den)}-digit d leaves the float range")
+    return s
+
+
+def _digits(n: int) -> int:
+    d = int(n.bit_length() * 0.30102999566398120) + 1  # log10(2)
+    return d - 1 if d > 1 and 10 ** (d - 1) > n else d
 
 
 LocalPoint = LocalPointNonArch | LocalPointArch
@@ -89,7 +121,7 @@ def local_point(place: Place, e=None, concrete: HahnSeries | None = None) -> Loc
 def standard_point(v: Place) -> LocalPoint:
     """e = e_v * f_v at finite v (Artin calibration); s = 1 at the archimedean place."""
     if v.is_archimedean:
-        return LocalPointArch(1.0)
+        return LocalPointArch(Fraction(1))
     return LocalPointNonArch(v, Fraction(v.e * v.f))
 
 
@@ -106,13 +138,14 @@ def frobenius_point(y: LocalPointNonArch, m: int = 1) -> LocalPointNonArch:
 
 
 def beltrami(y: LocalPoint):
-    """The exact exponent e (finite, |p|_{K_y} = p^(-e)) or the real s (archimedean)."""
+    """The exact exponent e (finite, |p|_{K_y} = p^(-e)) or the exact s (archimedean)."""
     if isinstance(y, LocalPointArch):
         return y.s
     return y.e
 
 
-def arch_act(z_modulus: float, y: LocalPointArch) -> LocalPointArch:
+def arch_act(z_modulus: Fraction, y: LocalPointArch) -> LocalPointArch:
+    """s -> |z| * s, exactly."""
     if not z_modulus > 0:
         raise CurveError("archimedean action needs |z| > 0")
     return LocalPointArch(z_modulus * y.s)
@@ -123,7 +156,7 @@ def local_distance(y1: LocalPoint, y2: LocalPoint) -> float:
     if isinstance(y1, LocalPointArch) != isinstance(y2, LocalPointArch):
         raise CurveError("distance needs points of the same place")
     if isinstance(y1, LocalPointArch):
-        return abs(math.log(y1.s) - math.log(y2.s))
+        return abs(math.log(float(y1.s)) - math.log(float(y2.s)))
     if y1.place != y2.place:
         raise CurveError("distance needs points of the same place")
     return abs(_log_fraction(y1.e / y2.e))

@@ -42,7 +42,7 @@ from .numfield import (
     place_key,
     primerange,
 )
-from .ffcurve import LocalPointArch, LocalPointNonArch, arch_act, curve_log_abs
+from .ffcurve import LocalPointArch, LocalPointNonArch, arch_float, curve_log_abs
 from .adelic import AdelicError, Arithmeticoid
 from .padic import PadicScalar
 
@@ -109,7 +109,7 @@ class FiniteTerm:
 
 @dataclass(frozen=True)
 class ArchTerm:
-    s: float
+    s: float  # the carrier's exact scale, rounded for display and summing
     log_abs: float  # best coordinate's log|x| at the standard metric
 
     @property
@@ -177,7 +177,7 @@ def height(y: Arithmeticoid, point: ProjectivePoint) -> HeightReport:
     return HeightReport(
         label=f"h_{y.label or 'y'}{point}",
         finite=tuple(terms),
-        archimedean=ArchTerm(arch.s, log_abs),
+        archimedean=ArchTerm(float(arch.s), log_abs),
     )
 
 
@@ -197,25 +197,30 @@ def stabilized_height_report(y: Arithmeticoid, z: FieldElement, sample=None):
 
     Closed form, no orbit is built: a.y scores fin + s_a * L, with fin (the
     finite sum, f_v * max(0, -ord_v z) at every carrier) and L (log_abs) read
-    off the one report scalar_height(y, z), and s_a = |N(a)| * s as `arch_act`
-    moves y's archimedean point.  These are the floats, added in the order,
-    that scalar_height(lstar_act(a, y), z).total adds.  A witness must beat
-    the best value strictly, so ties go to the first element in sample order
-    and trivial actors, which score the base, never win.
+    off the one report scalar_height(y, z), and s_a the float of the exact
+    scale |N(a)| * s that `lstar_act` gives a.y: one correctly rounded int
+    division, as `float` of that Fraction is.  These are the floats, added in
+    the order, that scalar_height(lstar_act(a, y), z).total adds.  A witness
+    must beat the best value strictly, so ties go to the first element in
+    sample order and trivial actors, which score the base, never win.  An
+    element that moves s out of the float range raises CurveError, as
+    `lstar_act` does.
     """
     if sample is None:
         sample = default_sample(y.field)
     base = scalar_height(y, z)
     fin = sum(t.value for t in base.finite)
     log_abs = base.archimedean.log_abs
-    arch = y.component(archimedean_place(y.field))
+    s = y.component(archimedean_place(y.field)).s
+    sn, sd = s.numerator, s.denominator
     best, witness = base.total, None
     for a in sample:
         if a.is_zero():
             raise HeightError("sample elements must be nonzero")
         if a.field != y.field:
             raise AdelicError("element and arithmeticoid fields differ")
-        t = fin + arch_act(float(abs(a.norm())), arch).s * log_abs
+        n = abs(a.norm())
+        t = fin + arch_float(n.numerator * sn, n.denominator * sd) * log_abs
         if t > best:
             best, witness = t, a
     return best, witness

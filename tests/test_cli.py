@@ -4,6 +4,7 @@ import math
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -21,6 +22,7 @@ from arithmeticoid.cohomology import (
     kummer_class,
     make_adelic_class,
 )
+from arithmeticoid.ffcurve import LocalPointArch
 from arithmeticoid.numfield import NumberField, places_over
 from arithmeticoid.szpiro import Cor312Report
 
@@ -170,6 +172,30 @@ def test_distance_to_frobenius_twist(capsys):
     code, doc = run_json(capsys, "distance", "--field", "Q")
     assert code == 0
     assert doc["distance"] == 0
+
+
+def test_every_archimedean_point_holds_a_fraction(capsys, monkeypatch):
+    """build_carrier reads --arch-scale as a rational, and the points the
+    library derives from it (standard points, the L*-action) stay exact."""
+    made = []
+    post_init = LocalPointArch.__post_init__
+
+    def recorded(self):
+        post_init(self)
+        made.append(self)
+
+    monkeypatch.setattr(LocalPointArch, "__post_init__", recorded)
+    cfg = cli.resolve_config(argparse.Namespace())
+    y = cli.build_carrier(cfg, argparse.Namespace(arch_scale="0.1", deform=None, frobenius=0))
+    assert y.component(cli.archimedean_place(Q)).s == Fraction(1, 10)
+    for argv in (["height", "--z", "5/3"], ["distance", "--frobenius", "1"],
+                 ["period-map", "--x", "12"],
+                 ["stabilized-height", "--z", "5", "--scale", "1/3", "--max-factors", "1"]):
+        for field, scale in (("Q", "0.1"), ("Q(sqrt(-3))", "7/3")):
+            assert main([*argv, "--field", field, "--arch-scale", scale]) == 0, argv
+            capsys.readouterr()
+    assert len(made) > 10
+    assert all(type(pt.s) is Fraction for pt in made)
 
 
 def test_period_map_hyperplane(capsys):
@@ -464,6 +490,13 @@ def test_validation_exit_codes(capsys, monkeypatch, tmp_path):
         (["cohomology", "tate-class", "--arch", "0.1", "--level", "1000000"], "--level"),
         (["szpiro", "lattice", "--n", "abc"], "'abc'"),
         (["distance", "--arch-scale", "inf"], "--arch-scale"),
+        (["distance", "--arch-scale", "nan"], "--arch-scale"),
+        (["distance", "--arch-scale", "0"], "--arch-scale"),
+        (["distance", "--arch-scale", "1e999"], "--arch-scale"),
+        (["stabilized-height", "--z", "5", "--scale", str(2 ** 1400)], "--scale: "),
+        (["stabilized-height", "--z", "5", "--scale", str(2 ** 1400)], "422-digit"),
+        (["stabilized-height", "--z", "5", "--max-factors", "1", "--arch-scale", "1e307"],
+         "leaves the float range"),
         (["degree", "--x", "5", "--arch-log", "nan"], "--arch-log"),
         (["szpiro", "theta", "--tau", "1e400j"], "'1e400j'"),
         (["cohomology", "tate-class", "--arch", "nan"], "'nan'"),

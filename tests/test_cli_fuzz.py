@@ -40,6 +40,7 @@ GRAMMAR = {  # well-formed values of each text flag
     "--p": ["2", "3", "5", "7"],
     "--field": ["Q", "Q(sqrt(-1))", "Q(sqrt(-3))"],
     "--hahn-cap": ["8", "1/2"],
+    "--arch-scale": ["5/2", "0.1", "2"],
 }
 EDGES = {  # tokens of the same grammar that the command must reject or survive
     "--x": ["0", "i", "1/0", "2,1,1"], "--z": ["0", "w", "1e9999999,1"],
@@ -51,6 +52,7 @@ EDGES = {  # tokens of the same grammar that the command must reject or survive
     "--params-file": [str(DATA / "missing.json")], "--input": [str(DATA)],
     "--n": ["-65:0", "2:1"], "--m": ["0:65"], "--p": ["4", "-3", "11"],
     "--field": ["Q(sqrt(5))", "Q(sqrt(-4))"], "--hahn-cap": ["0", "1025"],
+    "--arch-scale": ["0", "-1", "1e999"],
 }
 MALFORMED = ["abc", "", "1.5", "0x10", "1/0", "1e99999", "5'", ":", "٣"]
 DIGITS = "7" * 5000

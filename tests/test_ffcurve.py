@@ -99,17 +99,28 @@ def test_calibration_recovers_artin_value():
 
 def test_arch_act():
     y = LocalPointArch(1.0)
-    assert arch_act(2.0, y).s == 2.0
-    assert arch_act(1.0, y) == y
+    assert arch_act(F(2), y).s == 2
+    assert arch_act(F(1), y) == y
     rng = random.Random(20)
     for _ in range(50):
-        r, t = rng.uniform(0.1, 5), rng.uniform(0.1, 5)
-        assert arch_act(r, arch_act(t, y)).s == pytest.approx(arch_act(r * t, y).s)
+        r, t = F(rng.randint(1, 50), rng.randint(1, 50)), F(rng.randint(1, 50), rng.randint(1, 50))
+        assert arch_act(r, arch_act(t, y)) == arch_act(r * t, y)
+
+
+def test_arch_scale_is_an_exact_fraction():
+    for raw, want in [(2.5, F(5, 2)), (0.1, F(0.1)), (3, F(3)), (F(1, 3), F(1, 3))]:
+        s = LocalPointArch(raw).s
+        assert type(s) is Fraction and s == want
+    assert LocalPointArch(0.5) == LocalPointArch(F(1, 2))
+    assert LocalPointArch(1.0) == standard_point(archimedean_place(Q))
 
 
 def test_point_validation():
-    with pytest.raises(CurveError):
-        LocalPointArch(0.0)
+    for bad in (0.0, -F(1, 2), math.inf, math.nan, F(2 ** 1100), F(1, 2 ** 1100)):
+        with pytest.raises(CurveError):
+            LocalPointArch(bad)
+    with pytest.raises(CurveError, match="422-digit n and 1-digit d"):
+        LocalPointArch(F(2 ** 1400))
     with pytest.raises(CurveError):
         LocalPointNonArch(v_of(Q, 5), F(-1))
     with pytest.raises(CurveError):

@@ -282,7 +282,7 @@ def test_archimedean_deformation_moves_the_height():
     y0 = standard_arithmeticoid(Q)
     five = Q.element(Fraction(5))
     moved = lstar_act(five, y0)
-    assert moved.component(archimedean_place(Q)) == LocalPointArch(5.0)
+    assert moved.component(archimedean_place(Q)) == LocalPointArch(5)
     r = scalar_height(moved, five)
     assert abs(r.total - 5 * math.log(5)) < 1e-12
     assert r.total > scalar_height(y0, five).total
@@ -459,6 +459,9 @@ def test_stabilized_report_error_paths():
             report(y0, five, [Q.element(2), QI.element(2, 1)])
         with pytest.raises(CurveError):
             report(y0, five, [Q.element(2), Q.element(Fraction(1, 10 ** 400))])
+        # |N(a)| past the float range: s * log|z| has no float to add
+        with pytest.raises(CurveError):
+            report(y0, five, [Q.element(2), Q.element(2 ** 1400)])
     # a foreign-field root of unity raises too; the orbit walk skipped it as trivial
     with pytest.raises(AdelicError):
         stabilized_height_report(y0, five, [QI.omega()])

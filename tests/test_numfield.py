@@ -312,6 +312,24 @@ def test_no_module_imports_sympy():
     assert not offenders, offenders
 
 
+def test_carrier_modules_call_no_isclose():
+    """Carrier coordinates are exact, so their equality needs no tolerance."""
+    import ast
+    from pathlib import Path
+
+    import arithmeticoid
+
+    offenders = []
+    for name in ("adelic.py", "ffcurve.py", "heights.py"):
+        path = Path(arithmeticoid.__file__).parent / name
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            func = getattr(node, "func", None)
+            if isinstance(node, ast.Call) and "isclose" in (getattr(func, "attr", None),
+                                                              getattr(func, "id", None)):
+                offenders.append(f"{name}:{node.lineno}")
+    assert not offenders, offenders
+
+
 def test_cli_import_leaves_sympy_unloaded():
     code = ("import sys, arithmeticoid.cli; "
             "print(sorted({m.split('.')[0] for m in sys.modules} & {'sympy', 'mpmath'}))")
