@@ -4,11 +4,11 @@ An arithmeticoid is stored sparsely: a finite map of deviations from the
 standard point, plus a lazy global Frobenius shift (the shift multiplies every
 finite Beltrami exponent by p^shift and is materialized per place on demand).
 On top of the space: the L*-action, the unit (Lubin-Tate) action on concrete
-layers, a metric, normalization coordinates, the product-formula hyperplane
-and period map, and the toy mutation of Tate parameters.  Every coordinate is
-exact: Fraction Beltrami exponents at finite places and a Fraction scale s at
-the archimedean one, so the L*-action composes exactly and equal carriers sit
-at distance 0.
+layers, a metric, normalization coordinates, the period map and its exact
+pairing with the product-formula hyperplane, and the toy mutation of Tate
+parameters.  Every coordinate is exact: Fraction Beltrami exponents at finite
+places and a Fraction scale s at the archimedean one, so the L*-action
+composes exactly and equal carriers sit at distance 0.
 
 The canonical place order (archimedean first, then finite by prime and
 conjugate index) lives in numfield; `canonical_place_list`, `place_index` and
@@ -23,15 +23,14 @@ from fractions import Fraction
 
 from .numfield import (
     FieldElement,
+    LogForm,
     NumberField,
     Place,
-    _log_fraction,
     archimedean_place,
     canonical_place_list,
     divisor_support,
     place_index,
     place_key,
-    prime_exponents,
 )
 from .ffcurve import (
     LocalPoint,
@@ -270,9 +269,9 @@ def period_map(y: Arithmeticoid) -> HyperplanePoint:
 
 @dataclass(frozen=True)
 class HyperplaneReport:
-    """Exact finite parts and float residual of sum_v alpha_v log|x|_{K_{y_v}}."""
+    """Exact total coefficients and float residual of sum_v alpha_v log|x|_{K_{y_v}}."""
 
-    finite_coefficients: dict  # prime -> exact coefficient of log p
+    finite_coefficients: dict  # prime -> exact total coefficient of log p
     archimedean_term: float
     residual: float
 
@@ -282,29 +281,22 @@ class HyperplaneReport:
 
 
 def hyperplane_pairing(y: Arithmeticoid, x: FieldElement) -> HyperplaneReport:
-    """Evaluate the hyperplane equation of Thm-style period data on x in L*.
+    """Pair x in L* with the period data alpha = normalization_coordinate(y).
 
-    At a finite place the normalized value alpha_v log|x|_{K_y} is the exact
-    Artin coefficient -f_v ord_v(x) of log p independent of the deformation;
-    the archimedean term is (1/s) * s log|x|_std = log|N(x)|. The finite
-    coefficients therefore cancel the archimedean prime content exactly.
+    At a finite place alpha_v multiplies log|x|_{K_y} = c log p, the value at
+    y's local point; at the archimedean place alpha = 1/s multiplies
+    s log|N(x)|.  The result is a numfield `LogForm` with modulus |N(x)|, 0
+    exactly when alpha restores the Artin value -f_v ord_v(x) at every place.
     """
     if x.is_zero():
         raise AdelicError("hyperplane pairing needs x != 0")
+    coords = normalization_coordinate(y)
     finite: dict[int, Fraction] = {}
     for v, o in divisor_support(x):
-        e_beltrami = y.component(v).e
-        alpha = Fraction(v.e * v.f) / e_beltrami
-        curve_coeff = curve_log_abs(o, v.e, e_beltrami)  # log|x|_{K_y} in units of log p
-        finite[v.prime] = finite.get(v.prime, Fraction(0)) + alpha * curve_coeff
-    nrm = abs(x.norm())
-    arch_term = _log_fraction(nrm)  # (1/s)*(s log|x|_std)
-    total = arch_term + sum(float(c) * math.log(p) for p, c in finite.items())
-    # add back the norm's prime content to expose exact cancellation
-    content: dict[int, Fraction] = dict(finite)
-    for q, m in prime_exponents(nrm).items():
-        content[q] = content.get(q, Fraction(0)) + m
-    return HyperplaneReport(content, arch_term, abs(total))
+        c = coords.at(v) * curve_log_abs(o, v.e, y.component(v).e)
+        finite[v.prime] = finite.get(v.prime, Fraction(0)) + c
+    form = LogForm(finite, abs(x.norm()))
+    return HyperplaneReport(form.content(), form.arch_log, abs(form.value()))
 
 
 # ---------------------------------------------------------------------------

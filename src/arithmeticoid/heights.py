@@ -18,14 +18,14 @@ that scores strictly above the running best, exactly as a walk over the
 orbit would.
 
 Also here: arithmetic degrees of ideloids, the divisor monoids (integral,
-perfected, realified) with Frobenius pullback, inversion of the modular
-j-expansion to recover a Tate parameter p-adically, and the norm comparison
-of Teichmueller lifts against two local points.
+perfected, realified) with Frobenius pullback, and inversion of the modular
+j-expansion to recover a Tate parameter p-adically.  A degree is a numfield
+`LogForm`; a principal ideloid keeps its exact modulus |N(x)|, so whether its
+degree vanishes is decided exactly.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
@@ -33,17 +33,20 @@ from itertools import combinations_with_replacement
 
 from .numfield import (
     FieldElement,
+    LogForm,
     NumberField,
     Place,
     _int_valuation,
     _log_fraction,
     archimedean_place,
     divisor_support,
+    log_form,
+    log_term,
     place_key,
     primerange,
 )
-from .ffcurve import LocalPointArch, LocalPointNonArch, arch_float, curve_log_abs
-from .adelic import AdelicError, Arithmeticoid
+from .ffcurve import arch_float, curve_log_abs
+from .adelic import AdelicError, Arithmeticoid, normalization_coordinate
 from .padic import PadicScalar
 
 J_DATA_RESOURCE = "data/j_qexp.txt"
@@ -104,7 +107,7 @@ class FiniteTerm:
 
     @property
     def value(self) -> float:
-        return float(self.coefficient) * math.log(self.place.prime)
+        return log_term(self.coefficient, self.place.prime)
 
 
 @dataclass(frozen=True)
@@ -165,13 +168,13 @@ def height(y: Arithmeticoid, point: ProjectivePoint) -> HeightReport:
     for x in nonzero:
         for v, o in divisor_support(x):
             support.setdefault(v, {})[id(x)] = o
+    coords = normalization_coordinate(y)
     terms = []
     for v in sorted(support, key=place_key):
-        pt = y.component(v)
-        alpha = Fraction(v.local_degree) / pt.e
-        best = max(curve_log_abs(Fraction(support[v].get(id(x), 0)), v.e, pt.e)
+        e = y.component(v).e
+        best = max(curve_log_abs(Fraction(support[v].get(id(x), 0)), v.e, e)
                    for x in nonzero)
-        terms.append(FiniteTerm(v, alpha, best))
+        terms.append(FiniteTerm(v, coords.at(v), best))
     arch = y.component(archimedean_place(y.field))
     log_abs = max(_log_fraction(abs(x.norm())) for x in nonzero)
     return HeightReport(
@@ -254,6 +257,7 @@ class Ideloid:
     field: NumberField
     entries: tuple = ()      # ((Place, Fraction order, unit tag), ...)
     arch_log: float = 0.0
+    modulus: Fraction | None = None  # the exact |N(x)| of a principal ideloid
 
     def __post_init__(self):
         for v, o, _tag in self.entries:
@@ -264,16 +268,16 @@ class Ideloid:
 
 
 def make_ideloid(field: NumberField, orders: dict | None = None,
-                 arch_log: float = 0.0) -> Ideloid:
+                 arch_log: float = 0.0, modulus: Fraction | None = None) -> Ideloid:
     entries = tuple(sorted(
         ((v, Fraction(o), "1") for v, o in (orders or {}).items() if o != 0),
         key=lambda t: place_key(t[0])))
-    return Ideloid(field, entries, arch_log)
+    return Ideloid(field, entries, arch_log, modulus)
 
 
 def ideloid_from_element(x: FieldElement) -> Ideloid:
-    return make_ideloid(x.field, dict(divisor_support(x)),
-                        _log_fraction(abs(x.norm())))
+    modulus = abs(x.norm())
+    return make_ideloid(x.field, dict(divisor_support(x)), _log_fraction(modulus), modulus)
 
 
 def ideloid_mul(a: Ideloid, b: Ideloid) -> Ideloid:
@@ -282,33 +286,39 @@ def ideloid_mul(a: Ideloid, b: Ideloid) -> Ideloid:
     orders = {v: o for v, o, _ in a.entries}
     for v, o, _ in b.entries:
         orders[v] = orders.get(v, Fraction(0)) + o
-    return make_ideloid(a.field, orders, a.arch_log + b.arch_log)
+    modulus = None if None in (a.modulus, b.modulus) else a.modulus * b.modulus
+    return make_ideloid(a.field, orders, a.arch_log + b.arch_log, modulus)
 
 
 @dataclass(frozen=True)
 class DegreeReport:
-    finite: tuple        # ((prime, Fraction coefficient of log p), ...)
+    form: LogForm        # the finite part; its modulus is |N(x)| when principal, else 1
     archimedean: float
+    principal: bool
+
+    @property
+    def finite(self) -> tuple:  # ((prime, nonzero Fraction coefficient of log p), ...)
+        return tuple((p, c) for p, c in self.form.coefficients.items() if c != 0)
 
     @property
     def total(self) -> float:
-        return (sum(float(c) * math.log(p) for p, c in self.finite)
-                + self.archimedean)
+        return self.form.finite_value() + self.archimedean
+
+    @property
+    def vanishes(self) -> bool | None:
+        """Whether a principal ideloid's degree is 0, decided exactly; None otherwise."""
+        return self.form.is_zero() if self.principal else None
 
 
 def arithmetic_degree(y: Arithmeticoid, ideal: Ideloid) -> DegreeReport:
-    """Sum of alpha_v * log|x_v| over the support.  The finite part collapses
-    to -f_v * order * log p, so the degree descends along the L* action."""
+    """Sum of alpha_v * log|x_v| over the support, plus the archimedean log.
+    alpha_v * log|.|_{K_y} is the Artin value at every point of the curve, so
+    the finite part is -f_v * order * log p whatever y is: the degree descends
+    along the L* action."""
     if y.field != ideal.field:
         raise HeightError("ideloid and arithmeticoid fields differ")
-    by_prime = {}
-    for v, o, _tag in ideal.entries:
-        pt = y.component(v)
-        alpha = Fraction(v.local_degree) / pt.e
-        coeff = alpha * curve_log_abs(o, v.e, pt.e)
-        by_prime[v.prime] = by_prime.get(v.prime, Fraction(0)) + coeff
-    finite = tuple((p, c) for p, c in sorted(by_prime.items()) if c != 0)
-    return DegreeReport(finite, ideal.arch_log)
+    form = log_form(((v, o) for v, o, _ in ideal.entries), ideal.modulus or Fraction(1))
+    return DegreeReport(form, ideal.arch_log, ideal.modulus is not None)
 
 
 # ---------------------------------------------------------------------------
@@ -501,33 +511,3 @@ def invert_j_series(p: int, j_value, precision: int, coeff_path=None) -> PadicSc
             return q_next.truncated(k + precision)
         q = q_next
     raise HeightError("series inversion did not stabilize")
-
-
-# ---------------------------------------------------------------------------
-# Teichmueller lift comparison
-
-@dataclass(frozen=True)
-class LiftComparison:
-    """Norms of one multiplicative lift against two local points: the lift of a
-    value of valuation t has size p^{-e*t} at a point of Beltrami exponent e."""
-
-    prime: int
-    exponents: tuple  # (Fraction, Fraction): norm_i = p^{-exponents[i]}
-
-    @property
-    def norms(self) -> tuple:
-        return tuple(float(self.prime) ** float(-c) for c in self.exponents)
-
-    @property
-    def equal(self) -> bool:
-        return self.exponents[0] == self.exponents[1]
-
-
-def compare_teichmueller_lifts(x_valuation, y1: LocalPointNonArch,
-                               y2: LocalPointNonArch) -> LiftComparison:
-    if isinstance(y1, LocalPointArch) or isinstance(y2, LocalPointArch):
-        raise HeightError("lift comparison is a finite-place construction")
-    if y1.place != y2.place:
-        raise HeightError("the two points must sit over the same place")
-    t = Fraction(x_valuation)
-    return LiftComparison(y1.place.prime, (y1.e * t, y2.e * t))

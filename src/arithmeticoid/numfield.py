@@ -9,8 +9,9 @@ alone; other modules import them from here.
 Supported base fields are Q and Q(sqrt(-d)) for squarefree d > 0. Elements are
 exact rational coordinates in the integral basis (1, omega), where
 omega = (1 + sqrt(-d))/2 when d = 3 (mod 4) and omega = sqrt(-d) otherwise.
-Finite absolute values are kept as exact rational exponents of log p; only the
-archimedean contribution is floating point.
+A sum of log-absolute values is a `LogForm`: exact Fraction coefficients of
+log p plus the log of a rational modulus (|N x| for principal data), so
+whether it vanishes is decided exactly and floats appear only in display.
 
 The canonical place order lives here too: the archimedean place first, then
 the finite places by (prime, conjugate_index).  `place_key` sorts by it, and one
@@ -293,7 +294,7 @@ def _squarefree(n: int) -> bool:
 
 
 _FIELD_RE = re.compile(r"^Q(?:\(sqrt\((-\d+)\)\))?$")
-_ZERO = Fraction(0)  # the omega coordinate of every element built with b = 0
+_ZERO = Fraction(0)  # the omega coordinate of an element built with b = 0; a form's zero
 
 
 @dataclass(frozen=True)
@@ -666,35 +667,57 @@ def ord(x: FieldElement, v: Place) -> int:
     return shift + _int_valuation(t, p)
 
 
-@dataclass(frozen=True)
-class LogAbs:
-    """log|x|_v in the Artin normalization.
-
-    Finite places store the exact coefficient of log p; the archimedean place
-    stores only the float value (coeff and prime are None there).
-    """
-
-    coeff: Fraction | None
-    prime: int | None
-    value: float
-
-    def __float__(self) -> float:
-        return self.value
-
-
 def _log_fraction(q: Fraction) -> float:
     return math.log(q.numerator) - math.log(q.denominator)
 
 
-def standard_abs(x: FieldElement, v: Place) -> LogAbs:
-    """log|x|_v: |x|_v = |N(x)|_p at finite v, |N_{L_v/R}(x)| at the archimedean place."""
-    if x.is_zero():
-        raise InfiniteOrder("|0|_v is not defined")
-    if v.is_archimedean:
-        nrm = abs(x.norm())
-        return LogAbs(None, None, _log_fraction(nrm))
-    c = Fraction(-v.f * ord(x, v))
-    return LogAbs(c, v.prime, float(c) * math.log(v.prime))
+def log_term(c: Fraction, p: int) -> float:
+    """The float of c * log p: the one evaluator of a form's finite terms."""
+    return float(c) * math.log(p)
+
+
+@dataclass(frozen=True)
+class LogForm:
+    """log(modulus) + sum_p c_p log p for Fractions c_p and a rational modulus > 0.
+
+    Logs of distinct primes are linearly independent over Q (prod p^(k_p) = 1
+    forces every k_p = 0), so the form is 0 exactly when the total coefficient
+    of every log p is: `is_zero` needs no tolerance (Bombieri-Gubler, ch. 1).
+    """
+
+    coefficients: dict  # prime -> Fraction coefficient of log p
+    modulus: Fraction = Fraction(1)
+
+    def content(self) -> dict:
+        """prime -> exact total coefficient of log p, the modulus's exponents included."""
+        out = dict(self.coefficients)
+        for p, m in prime_exponents(self.modulus).items():
+            out[p] = out.get(p, _ZERO) + m
+        return out
+
+    def is_zero(self) -> bool:
+        return not any(self.content().values())
+
+    @property
+    def arch_log(self) -> float:
+        return _log_fraction(self.modulus)
+
+    def finite_value(self) -> float:
+        return sum(log_term(c, p) for p, c in self.coefficients.items())
+
+    def value(self) -> float:
+        return self.arch_log + self.finite_value()
+
+
+def log_form(divisor, modulus: Fraction) -> LogForm:
+    """sum_v log|.|_v of a divisor ((place, ord_v), ...), canonically ordered,
+    plus log(modulus): |x|_v = p^(-f_v ord_v) (Artin), so p maps to
+    -sum_{v|p} f_v ord_v, 0 at a split prime whose ords cancel.  With
+    divisor_support(x) and |N x| this is sum_v log|x|_v over every place."""
+    coefficients: dict[int, Fraction] = {}
+    for v, o in divisor:
+        coefficients[v.prime] = coefficients.get(v.prime, _ZERO) - v.f * o
+    return LogForm(coefficients, modulus)
 
 
 @dataclass(frozen=True)
@@ -707,11 +730,8 @@ class ProductFormulaReport:
     @property
     def exact(self) -> bool:
         # finite sums must cancel the archimedean coefficients prime by prime
-        keys = set(self.finite_exponent_sums) | set(self.norm_exponents)
-        return all(
-            self.finite_exponent_sums.get(p, Fraction(0)) == -self.norm_exponents.get(p, Fraction(0))
-            for p in keys
-        )
+        return all(self.finite_exponent_sums.get(p, 0) == -self.norm_exponents.get(p, 0)
+                   for p in self.finite_exponent_sums.keys() | self.norm_exponents.keys())
 
 
 def prime_exponents(q: Fraction) -> dict[int, Fraction]:
@@ -721,36 +741,41 @@ def prime_exponents(q: Fraction) -> dict[int, Fraction]:
     return out
 
 
+def _norm_valuations(x: FieldElement) -> dict[int, int]:
+    """prime -> ord_p |N(x)|, ascending, at the primes of N(D x) and of D, for D
+    the common denominator of the coordinates (N(D x) = D^deg N(x)): every prime
+    where an ord_v(x) can be nonzero, one whose ords cancel mapping to 0."""
+    den = math.lcm(x.a.denominator, x.b.denominator)
+    out = factorint(int(abs(FieldElement(x.field, x.a * den, x.b * den).norm())))
+    for p, m in factorint(den).items():
+        out[p] = out.get(p, 0) - x.field.degree * m
+    return dict(sorted(out.items()))
+
+
+def _divisor(x: FieldElement, primes) -> list[tuple[Place, int]]:
+    return [(v, o) for p in primes for v in places_over(x.field, p) if (o := ord(x, v))]
+
+
 def divisor_support(x: FieldElement) -> list[tuple[Place, int]]:
     """All (place, ord) with nonzero order, from the norm's prime support."""
     if x.is_zero():
         raise InfiniteOrder("0 has no divisor")
-    den = math.lcm(x.a.denominator, x.b.denominator)
-    nrm = FieldElement(x.field, x.a * den, x.b * den).norm()
-    primes = set(factorint(int(abs(nrm))).keys()) | set(factorint(den).keys())
-    out = []
-    for p in sorted(primes):
-        for v in places_over(x.field, int(p)):
-            o = ord(x, v)
-            if o:
-                out.append((v, o))
-    return out
+    return _divisor(x, _norm_valuations(x))
 
 
 def product_formula_check(x: FieldElement) -> ProductFormulaReport:
-    """Sum log|x|_v over all places; exact prime-by-prime cancellation plus a float residual."""
+    """Sum log|x|_v over all places: the form's coefficients at the primes of
+    |N(x)| must cancel its factorization, which is the one that finds the
+    divisor; the residual is the float of the whole form."""
     if x.is_zero():
         raise InfiniteOrder("product formula needs x != 0")
-    norm_exponents = prime_exponents(abs(x.norm()))
-    finite_sums: dict[int, Fraction] = {}
-    for p in sorted(norm_exponents):
-        total = Fraction(0)
-        for v in places_over(x.field, p):
-            total += standard_abs(x, v).coeff
-        finite_sums[p] = total
-    arch = standard_abs(x, archimedean_place(x.field)).value
-    residual = abs(arch + sum(float(c) * math.log(p) for p, c in finite_sums.items()))
-    return ProductFormulaReport(finite_sums, norm_exponents, arch, residual)
+    valuations = _norm_valuations(x)
+    form = log_form(_divisor(x, valuations), abs(x.norm()))
+    # numerator primes first, as prime_exponents lists them
+    norm_exponents = {p: Fraction(m) for p, m in sorted(valuations.items(), key=lambda t: t[1] < 0)
+                      if m}
+    finite_sums = {p: form.coefficients.get(p, _ZERO) for p in sorted(norm_exponents)}
+    return ProductFormulaReport(finite_sums, norm_exponents, form.arch_log, abs(form.value()))
 
 
 def roots_of_unity(field: NumberField) -> list[FieldElement]:

@@ -23,7 +23,15 @@ from arithmeticoid.cohomology import (
     make_adelic_class,
 )
 from arithmeticoid.ffcurve import LocalPointArch
-from arithmeticoid.numfield import NumberField, places_over
+from arithmeticoid.adelic import HyperplaneReport
+from arithmeticoid.heights import DegreeReport
+from arithmeticoid.numfield import (
+    LogForm,
+    NumberField,
+    ProductFormulaReport,
+    places_over,
+    prime_exponents,
+)
 from arithmeticoid.szpiro import Cor312Report
 
 Q = NumberField(None)
@@ -573,15 +581,33 @@ def test_usage_exit_codes():
     assert exc.value.code == 64
 
 
-def test_property_failure_exit_code(capsys, monkeypatch):
-    failed = Cor312Report(seed=7, lhs=0.0, mid=1.0, rhs=2.0,
-                          tolerance=1e-9, passed=False)
-    monkeypatch.setattr(cli.sz, "corollary312_check",
-                        lambda *a, **k: failed)
-    code = main(["szpiro", "cor312", "--seed", "7", "--punctures", "1"])
+# a nonzero form whose float, about 1e-12, would pass a 1e-9 tolerance
+NEAR_ONE = LogForm({}, Fraction(10 ** 12 + 1, 10 ** 12))
+FAILED_REPORTS = {
+    "cor312": (cli.sz, "corollary312_check",
+               Cor312Report(seed=7, lhs=0.0, mid=1.0, rhs=2.0, tolerance=1e-9, passed=False),
+               ["szpiro", "cor312", "--seed", "7", "--punctures", "1"], "passed = false"),
+    "product-formula": (cli, "product_formula_check",
+                        ProductFormulaReport({}, prime_exponents(NEAR_ONE.modulus),
+                                             NEAR_ONE.arch_log, abs(NEAR_ONE.value())),
+                        ["product-formula", "--x", "5"], "exact = false"),
+    "period-map": (cli, "hyperplane_pairing",
+                   HyperplaneReport(NEAR_ONE.content(), NEAR_ONE.arch_log,
+                                    abs(NEAR_ONE.value())),
+                   ["period-map", "--x", "5"], "hyperplane_exact = false"),
+    "degree": (cli, "arithmetic_degree", DegreeReport(NEAR_ONE, NEAR_ONE.arch_log, True),
+               ["degree", "--x", "5"], "principal_vanishes = false"),
+}
+
+
+@pytest.mark.parametrize("verdict", sorted(FAILED_REPORTS))
+def test_property_failure_exit_code(capsys, monkeypatch, verdict):
+    module, name, report, argv, line = FAILED_REPORTS[verdict]
+    monkeypatch.setattr(module, name, lambda *a, **k: report)
+    code = main(argv)
     out = capsys.readouterr().out
     assert code == 2
-    assert "passed = false" in out
+    assert line in out
 
 
 def test_module_entry_point():

@@ -34,7 +34,6 @@ from arithmeticoid.heights import (
     Ideloid,
     ProjectivePoint,
     arithmetic_degree,
-    compare_teichmueller_lifts,
     default_sample,
     frobenioid_add,
     frobenioid_of,
@@ -482,6 +481,7 @@ def test_degree_of_principal_ideloid_vanishes():
         for _ in range(60):
             rep = arithmetic_degree(y0, ideloid_from_element(maker()))
             assert abs(rep.total) < 1e-9
+            assert rep.principal and rep.vanishes is True
 
 
 def test_degree_is_a_homomorphism():
@@ -490,9 +490,11 @@ def test_degree_is_a_homomorphism():
     for _ in range(100):
         a = ideloid_from_element(Q.element(random_rational(rng)))
         b = ideloid_from_element(Q.element(random_rational(rng)))
-        lhs = arithmetic_degree(y, ideloid_mul(a, b)).total
+        product = arithmetic_degree(y, ideloid_mul(a, b))
+        lhs = product.total
         rhs = arithmetic_degree(y, a).total + arithmetic_degree(y, b).total
         assert abs(lhs - rhs) < 1e-9
+        assert product.vanishes is True  # a product of principal ideloids is principal
 
 
 def test_degree_descends_along_lstar():
@@ -513,6 +515,15 @@ def test_degree_finite_part_is_exact():
     rep = arithmetic_degree(y0, ideal)
     assert rep.finite == ((5, Fraction(-2)),)
     assert abs(rep.total + 2 * math.log(5)) < 1e-12
+    assert not rep.principal and rep.vanishes is None
+
+
+def test_degree_verdict_reads_the_exact_modulus():
+    # the float log of 1 + 10^-12 passes any 1e-9 tolerance; the form does not
+    near_one = Fraction(10 ** 12 + 1, 10 ** 12)
+    rep = arithmetic_degree(standard_arithmeticoid(Q),
+                            make_ideloid(Q, arch_log=math.log(near_one), modulus=near_one))
+    assert abs(rep.total) < 1e-9 and rep.vanishes is False
 
 
 def test_ideloid_validation():
@@ -665,34 +676,6 @@ def test_forward_evaluation_rejects_nonpositive_valuation():
     q = PadicScalar.from_fraction(Fraction(3), 5, 8)  # valuation 0
     with pytest.raises(HeightError):
         tate_j_value(q, table)
-
-
-# ---------------------------------------------------------------------------
-# Teichmueller lift comparison
-
-def test_lift_norms_separate_frobenius_twists():
-    v5 = places_over(Q, 5)[0]
-    y1 = standard_point(v5)
-    y2 = frobenius_point(y1, 1)
-    cmp1 = compare_teichmueller_lifts(Fraction(1), y1, y2)
-    assert cmp1.exponents == (Fraction(1), Fraction(5))
-    assert not cmp1.equal
-    assert abs(cmp1.norms[0] - 1 / 5) < 1e-15
-
-
-def test_lift_comparison_trivial_at_valuation_zero():
-    v3 = places_over(Q, 3)[0]
-    y1 = standard_point(v3)
-    y2 = frobenius_point(y1, 2)
-    assert compare_teichmueller_lifts(0, y1, y2).equal
-
-
-def test_lift_comparison_requires_matching_places():
-    v2, v3 = places_over(Q, 2)[0], places_over(Q, 3)[0]
-    with pytest.raises(HeightError):
-        compare_teichmueller_lifts(1, standard_point(v2), standard_point(v3))
-    with pytest.raises(HeightError):
-        compare_teichmueller_lifts(1, LocalPointArch(1.0), standard_point(v3))
 
 
 # ---------------------------------------------------------------------------

@@ -13,15 +13,17 @@ from arithmeticoid.numfield import (
     FieldElement,
     FieldError,
     InfiniteOrder,
+    LogForm,
     NumberField,
     archimedean_place,
+    divisor_support,
+    log_form,
     ord,
     places_over,
     places_up_to,
     product_formula_check,
     roots_of_unity,
     splitting_type,
-    standard_abs,
 )
 
 Q = NumberField()
@@ -172,16 +174,45 @@ def test_ord_errors():
         ord(Q.element(5), archimedean_place(Q))
 
 
-# ---------------------------------------------------------------- standard_abs
+# ---------------------------------------------------------------- log forms
 
-def test_standard_abs_examples():
+def test_log_form_examples():
     v5 = places_over(Q, 5)[0]
-    r = standard_abs(Q.element(5), v5)
-    assert r.coeff == -1 and r.prime == 5  # |5|_5 = 1/5
-    arch = standard_abs(Q.element(5), archimedean_place(Q))
-    assert arch.value == pytest.approx(math.log(5), abs=1e-15)
-    two = standard_abs(QI.element(1, 1), archimedean_place(QI))
-    assert two.value == pytest.approx(math.log(2), abs=1e-15)  # |N(1+i)| = 2
+    r = log_form([(v5, 1)], Fraction(1))
+    assert r.coefficients == {5: -1} and r.modulus == 1  # |5|_5 = 1/5
+    assert r.value() == -math.log(5) and not r.is_zero()
+    five = log_form(divisor_support(Q.element(5)), Fraction(5))
+    assert five.arch_log == pytest.approx(math.log(5), abs=1e-15)
+    assert five.is_zero() and five.value() == 0.0
+    two = log_form(divisor_support(QI.element(1, 1)), abs(QI.element(1, 1).norm()))
+    assert two.arch_log == pytest.approx(math.log(2), abs=1e-15)  # |N(1+i)| = 2
+    assert two.coefficients == {2: -1} and two.is_zero()
+    with pytest.raises(InfiniteOrder):
+        product_formula_check(QI.zero())
+
+
+def test_log_form_is_zero_is_exact():
+    # prime-by-prime: a tiny modulus away from 1 is not 0, whatever its float
+    near_one = LogForm({}, Fraction(10 ** 12 + 1, 10 ** 12))
+    assert abs(near_one.value()) < 1e-11 and not near_one.is_zero()
+    assert LogForm({}).is_zero() and LogForm({5: Fraction(0)}).is_zero()
+    assert LogForm({2: Fraction(-1), 3: Fraction(1)}, Fraction(2, 3)).is_zero()
+    assert not LogForm({2: Fraction(1, 2)}).is_zero()
+    assert not LogForm({2: Fraction(-1)}, Fraction(3)).is_zero()
+    assert LogForm({2: Fraction(-1)}, Fraction(3)).content() == {2: -1, 3: 1}
+
+
+def test_split_prime_whose_ords_cancel_keeps_both_key_sets():
+    """ords +1 and -1 over 5: the form keeps 5 with coefficient 0, and the
+    product-formula report lists only the primes of |N(x)|."""
+    x = QI.element(Fraction(227, 55), Fraction(-132, 35))
+    form = log_form(divisor_support(x), abs(x.norm()))
+    assert list(form.coefficients) == [5, 7, 11, 241, 769] and form.coefficients[5] == 0
+    assert form.is_zero()
+    rep = product_formula_check(x)
+    assert list(rep.finite_exponent_sums) == [7, 11, 241, 769]
+    assert list(rep.norm_exponents) == [241, 769, 7, 11]  # numerator primes first
+    assert rep.exact and rep.residual == abs(form.value())
 
 
 def test_norm_matches_complex_oracle():
@@ -328,6 +359,57 @@ def test_carrier_modules_call_no_isclose():
                                                               getattr(func, "id", None)):
                 offenders.append(f"{name}:{node.lineno}")
     assert not offenders, offenders
+
+
+def _functions(path):
+    from ast import FunctionDef, parse, walk
+
+    tree = parse(path.read_text(encoding="utf-8"))
+    return tree, [node for node in walk(tree) if isinstance(node, FunctionDef)]
+
+
+def test_verdicts_compare_against_no_float_literal():
+    """product-formula, period-map, degree and stabilized-height decide exactly."""
+    import ast
+    from pathlib import Path
+
+    import arithmeticoid
+
+    _, funcs = _functions(Path(arithmeticoid.__file__).parent / "cli.py")
+    names = {"cmd_product_formula", "cmd_period_map", "cmd_degree", "cmd_stabilized_height"}
+    checked, offenders = set(), []
+    for func in funcs:
+        if func.name not in names:
+            continue
+        checked.add(func.name)
+        for node in ast.walk(func):
+            if isinstance(node, ast.Compare):
+                offenders += [f"{func.name}:{c.lineno}" for c in ast.walk(node)
+                              if isinstance(c, ast.Constant) and isinstance(c.value, float)]
+    assert checked == names
+    assert not offenders, offenders
+
+
+def test_one_function_evaluates_log_terms():
+    """float(c) * math.log(p) is written once under src/: in numfield.log_term."""
+    import ast
+    from pathlib import Path
+
+    import arithmeticoid
+
+    def callee(node):
+        return ast.unparse(node.func) if isinstance(node, ast.Call) else None
+
+    def is_log_term(node):
+        return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
+                and {callee(node.left), callee(node.right)} == {"float", "math.log"})
+
+    found, total = set(), 0
+    for path in sorted(Path(arithmeticoid.__file__).parent.glob("*.py")):
+        tree, funcs = _functions(path)
+        total += sum(map(is_log_term, ast.walk(tree)))
+        found |= {(path.name, f.name) for f in funcs if any(map(is_log_term, ast.walk(f)))}
+    assert total == 1 and found == {("numfield.py", "log_term")}, (total, found)
 
 
 def test_cli_import_leaves_sympy_unloaded():
