@@ -33,7 +33,6 @@ from .heights import (
     Frobenioid,
     arithmetic_degree,
     scalar_height,
-    stabilized_height,
 )
 
 __version__ = "0.1.0"
@@ -60,6 +59,5 @@ __all__ = [
     "Frobenioid",
     "arithmetic_degree",
     "scalar_height",
-    "stabilized_height",
     "__version__",
 ]

@@ -3,12 +3,11 @@
 An arithmeticoid is stored sparsely: a finite map of deviations from the
 standard point, plus a lazy global Frobenius shift (the shift multiplies every
 finite Beltrami exponent by p^shift and is materialized per place on demand).
-On top of the space: the L*-action, the unit (Lubin-Tate) action on concrete
-layers, a metric, normalization coordinates, the period map and its exact
-pairing with the product-formula hyperplane, and the toy mutation of Tate
-parameters.  Every coordinate is exact: Fraction Beltrami exponents at finite
-places and a Fraction scale s at the archimedean one, so the L*-action
-composes exactly and equal carriers sit at distance 0.
+On top of the space: the L*-action, a metric, normalization coordinates, the
+period map and its exact pairing with the product-formula hyperplane, and the
+toy mutation of Tate parameters.  Every coordinate is exact: Fraction
+Beltrami exponents at finite places and a Fraction scale s at the archimedean
+one, so the L*-action composes exactly and equal carriers sit at distance 0.
 
 The canonical place order (archimedean first, then finite by prime and
 conjugate index) lives in numfield; `canonical_place_list`, `place_index` and
@@ -18,7 +17,7 @@ conjugate index) lives in numfield; `canonical_place_list`, `place_index` and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .numfield import (
@@ -35,14 +34,12 @@ from .numfield import (
 from .ffcurve import (
     LocalPoint,
     LocalPointArch,
-    LocalPointNonArch,
     arch_act,
     curve_log_abs,
     frobenius_point,
     local_distance,
     standard_point,
 )
-from .tilt import lubin_tate_act
 
 DISTANCE_PREFIX = 60  # indices always summed; tail error < 2^-60
 DISTANCE_LIMIT = 1074  # 2.0 ** -n == 0.0 for every later index n
@@ -155,17 +152,6 @@ def stabilizer_check(x: FieldElement, y: Arithmeticoid) -> bool:
     if abs(x.norm()) != 1:
         return False
     return not divisor_support(x)
-
-
-def aut_act(units: dict, y: Arithmeticoid) -> Arithmeticoid:
-    """Lubin-Tate unit action on concrete layers; Beltrami data never moves."""
-    entries = y.deviation_map()
-    for v, u in units.items():
-        pt = entries.get(v)
-        if pt is None or isinstance(pt, LocalPointArch) or pt.concrete is None:
-            raise AdelicError(f"aut_act needs a concrete layer at {v}")
-        entries[v] = LocalPointNonArch(v, pt.e, lubin_tate_act(u, pt.concrete))
-    return make_arithmeticoid(y.field, entries, y.frobenius_shift, y.label)
 
 
 # ---------------------------------------------------------------------------

@@ -261,14 +261,14 @@ def parse_matrix(text: str):
     return tuple(tuple((int if integral else float)(c) for c in r) for r in out)
 
 
-def parse_range(text: str, bound: int = 64) -> range:
-    """HI or LO:HI as range(LO, HI), both ends in [-bound, bound]."""
+def parse_range(text: str) -> range:
+    """HI or LO:HI as range(LO, HI), both ends in [-64, 64]."""
     m = re.fullmatch(r"(?:([+-]?\d{1,9}):)?([+-]?\d{1,9})", text.strip())
     if m is None:
         raise CliError(f"cannot parse range {text!r}; expected HI or LO:HI")
     lo, hi = int(m[1] or 0), int(m[2])
-    if not (-bound <= lo <= bound and -bound <= hi <= bound):
-        raise CliError(f"range {text!r} must have both ends in [-{bound}, {bound}]")
+    if not (-64 <= lo <= 64 and -64 <= hi <= 64):
+        raise CliError(f"range {text!r} must have both ends in [-64, 64]")
     return range(lo, hi)
 
 
@@ -741,10 +741,10 @@ def cmd_cohomology_collate(cfg: Config, args) -> CliResult:
 
 # --- tilt ------------------------------------------------------------------
 
-def _series_rows(x, limit: int = 16):
+def _series_rows(x):
     rows = [[e, _tuple_cell(vec)] for e, vec in x.terms]
-    if len(rows) > limit:
-        rows = rows[:limit] + [["...", f"{len(x.terms) - limit} more terms"]]
+    if len(rows) > 16:
+        rows = rows[:16] + [["...", f"{len(x.terms) - 16} more terms"]]
     return rows
 
 

@@ -35,7 +35,6 @@ __all__ = [
     "AdelicClass",
     "ClassTransform",
     "kummer_class",
-    "kummer_add",
     "make_adelic_class",
     "tate_class",
     "bloch_kato_member",
@@ -44,7 +43,6 @@ __all__ = [
     "adelic_class_to_json",
     "adelic_class_from_json",
     "transform_from_json",
-    "transform_to_json",
 ]
 
 
@@ -156,20 +154,6 @@ def kummer_class(x: FieldElement, v: Place, n: int) -> KummerClass:
     t, nm = x.field.omega_trace, x.field.omega_norm
     tag = power(res, exponent, lambda a, b: _res_mul(a, b, t, nm, mod), (1 % mod, 0))
     return KummerClass(v, n, o % p ** n, tag, mod)
-
-
-def kummer_add(c1: KummerClass, c2: KummerClass) -> KummerClass:
-    """Class of a product: orders add, tags multiply."""
-    if c1.place != c2.place or c1.precision != c2.precision:
-        raise CohomologyError("classes at different places or precisions")
-    field = c1.place.field
-    return KummerClass(
-        c1.place, c1.precision,
-        (c1.order_part + c2.order_part) % c1.prime ** c1.precision,
-        _res_mul(c1.unit_tag, c2.unit_tag, field.omega_trace, field.omega_norm,
-                 c1.tag_modulus),
-        c1.tag_modulus,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -325,12 +309,3 @@ def transform_from_json(field: NumberField, data: dict) -> ClassTransform:
         unit_scale=data.get("unit_scale", 1),
         frobenius_shift=data.get("frobenius_shift", 0),
     )
-
-
-def transform_to_json(t: ClassTransform) -> dict:
-    return {
-        "label": t.label,
-        "place": t.place.to_json(),
-        "unit_scale": t.unit_scale,
-        "frobenius_shift": t.frobenius_shift,
-    }

@@ -19,17 +19,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .numfield import NumberField, Place, _log_fraction, archimedean_place, places_over
-from .tilt import (
-    HahnSeries,
-    TiltError,
-    artin_hasse,
-    evaluate_series,
-    frobenius as hahn_frobenius,
-    hahn_eq,
-    inverse_frobenius,
-    lubin_tate_act,
-)
+from .numfield import Place, _log_fraction
+from .tilt import HahnSeries, frobenius as hahn_frobenius, inverse_frobenius
 
 
 class CurveError(ValueError):
@@ -137,13 +128,6 @@ def frobenius_point(y: LocalPointNonArch, m: int = 1) -> LocalPointNonArch:
     return LocalPointNonArch(y.place, e, concrete)
 
 
-def beltrami(y: LocalPoint):
-    """The exact exponent e (finite, |p|_{K_y} = p^(-e)) or the exact s (archimedean)."""
-    if isinstance(y, LocalPointArch):
-        return y.s
-    return y.e
-
-
 def arch_act(z_modulus: Fraction, y: LocalPointArch) -> LocalPointArch:
     """s -> |z| * s, exactly."""
     if not z_modulus > 0:
@@ -169,69 +153,3 @@ def curve_log_abs(x_ord: int, ev: int, e: Fraction) -> Fraction:
     |p|_{K_y} = p^(-e) and ord_v(p) = e_v, giving c = -(e / e_v) * ord_v(x).
     """
     return -(e / ev) * x_ord
-
-
-def canonical_representative(a: HahnSeries) -> HahnSeries:
-    """Normalize the class of a under the unit action at working precision.
-
-    Scales by the prime-field unit making the lowest nonzero polynomial
-    coordinate of the leading coefficient equal to 1 (leading coefficients not
-    in the prime field cannot always be brought to 1; this is the k-permitting
-    compromise).
-    """
-    if a.is_zero():
-        raise CurveError("zero series does not represent a point")
-    _, c = a.leading()
-    low = next(x for x in c if x)
-    u = pow(low, -1, a.p)
-    if u == 1:
-        return a
-    return lubin_tate_act(u, a)
-
-
-def same_point_class(a: HahnSeries, b: HahnSeries) -> bool:
-    """Equality of point classes decided by canonicalized truncations."""
-    if a.valuation() != b.valuation():
-        return False
-    return hahn_eq(canonical_representative(a), canonical_representative(b))
-
-
-def switch_description(a: HahnSeries) -> HahnSeries:
-    """The multiplicative-side representative AH(a) of the additive datum a.
-
-    AH(a) lies in 1 + m and valuation(AH(a) - 1) = valuation(a), so the
-    Beltrami data of the point survives the switch.
-    """
-    va = a.valuation()
-    if va is None or va <= 0:
-        raise CurveError("switch_description needs valuation(a) > 0")
-    degree = min(64, int(math.ceil(float(a.cap / va))) + 1)
-    ah = artin_hasse(a.p, max(degree, 1), 2)
-    return evaluate_series(ah, a)
-
-
-def correspondence_fiber(field: NumberField, p: int, moved) -> set:
-    """Toy fiber of the product of local curves over the base rational curve.
-
-    `moved` maps base points (over the rational place at p) to base points. One
-    output tuple per choice of the place carrying the motion, each tuple holding
-    one point per place v | p with exponents scaled by the local degree, so the
-    fiber has at most [L:Q] elements and the identity motion gives the identity
-    fiber.
-    """
-    if field.degree > 2:
-        raise CurveError("unsupported field degree")
-    base_place = Place(NumberField(), p, 1, 1, 0)
-    base = standard_point(base_place)
-    vs = places_over(field, p)
-
-    def lift(v: Place, pt: LocalPointNonArch) -> LocalPointNonArch:
-        return LocalPointNonArch(v, Fraction(v.e * v.f) * pt.e)
-
-    out = set()
-    for mover in vs:
-        assignment = tuple(
-            lift(v, moved(base) if v == mover else base) for v in vs
-        )
-        out.add(assignment)
-    return out

@@ -84,12 +84,6 @@ class ProjectivePoint:
         return "(" + " : ".join(str(x) for x in self.coords) + ")"
 
 
-def projective_point(field: NumberField, *coords) -> ProjectivePoint:
-    elts = tuple(x if isinstance(x, FieldElement) else field.element(Fraction(x))
-                 for x in coords)
-    return ProjectivePoint(field, elts)
-
-
 # ---------------------------------------------------------------------------
 # height reports
 
@@ -189,12 +183,6 @@ def scalar_height(y: Arithmeticoid, z: FieldElement) -> HeightReport:
     return height(y, ProjectivePoint(y.field, (y.field.one(), z)))
 
 
-def stabilized_height(y: Arithmeticoid, z: FieldElement, sample=None) -> float:
-    """sup over the sampled L*-orbit of y; 1 is always adjoined, so this
-    dominates the plain height and is reported as a lower bound for the sup."""
-    return stabilized_height_report(y, z, sample)[0]
-
-
 def stabilized_height_report(y: Arithmeticoid, z: FieldElement, sample=None):
     """(value, witness) version; witness None means the orbit point y itself.
 
@@ -280,16 +268,6 @@ def ideloid_from_element(x: FieldElement) -> Ideloid:
     return make_ideloid(x.field, dict(divisor_support(x)), _log_fraction(modulus), modulus)
 
 
-def ideloid_mul(a: Ideloid, b: Ideloid) -> Ideloid:
-    if a.field != b.field:
-        raise HeightError("ideloid fields differ")
-    orders = {v: o for v, o, _ in a.entries}
-    for v, o, _ in b.entries:
-        orders[v] = orders.get(v, Fraction(0)) + o
-    modulus = None if None in (a.modulus, b.modulus) else a.modulus * b.modulus
-    return make_ideloid(a.field, orders, a.arch_log + b.arch_log, modulus)
-
-
 @dataclass(frozen=True)
 class DegreeReport:
     form: LogForm        # the finite part; its modulus is |N(x)| when principal, else 1
@@ -371,50 +349,6 @@ class Frobenioid:
 class FrobenioidElement:
     monoid: Frobenioid
     entries: tuple  # ((Place, exponent), ...) nonzero, canonical order
-
-    def exponent(self, v: Place):
-        return dict(self.entries).get(v, Fraction(0) if self.monoid.mode != "real" else 0.0)
-
-    def is_identity(self) -> bool:
-        return not self.entries
-
-
-def frobenioid_of(field: NumberField) -> Frobenioid:
-    return Frobenioid(field, "integer")
-
-
-def frobenioid_of_arithmeticoid(y: Arithmeticoid) -> Frobenioid:
-    # deformation erases no divisors but perfects the exponent lattice
-    return Frobenioid(y.field, "perfection")
-
-
-def perfection(m: Frobenioid) -> Frobenioid:
-    if m.mode == "real":
-        raise HeightError("realified monoid has no further perfection")
-    return Frobenioid(m.field, "perfection")
-
-
-def realify(m: Frobenioid) -> Frobenioid:
-    return Frobenioid(m.field, "real")
-
-
-def monoid_map(elt: FrobenioidElement, target: Frobenioid) -> FrobenioidElement:
-    """Push exponents along integer -> perfection -> real; injective on entries."""
-    if target.field != elt.monoid.field:
-        raise HeightError("monoid fields differ")
-    order = {m: i for i, m in enumerate(MODES)}
-    if order[target.mode] < order[elt.monoid.mode]:
-        raise HeightError("no map back toward the integral monoid")
-    return target.element(dict(elt.entries))
-
-
-def frobenioid_add(a: FrobenioidElement, b: FrobenioidElement) -> FrobenioidElement:
-    if a.monoid != b.monoid:
-        raise HeightError("cannot add across monoids")
-    exps = dict(a.entries)
-    for v, c in b.entries:
-        exps[v] = exps.get(v, 0) + c
-    return a.monoid.element(exps)
 
 
 def frobenius_pullback(elt: FrobenioidElement, m: int = 1) -> FrobenioidElement:

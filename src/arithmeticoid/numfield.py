@@ -380,9 +380,6 @@ class FieldElement:
     def is_zero(self) -> bool:
         return self.a == 0 and self.b == 0
 
-    def is_one(self) -> bool:
-        return self.a == 1 and self.b == 0
-
     def conjugate(self) -> "FieldElement":
         # omega-bar = trace(omega) - omega
         return FieldElement(self.field, self.a + self.b * self.field.omega_trace, -self.b)

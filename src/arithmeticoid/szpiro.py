@@ -113,9 +113,6 @@ class UnivCoverElt:
         if abs(rem) > 1e-9:
             raise SzpiroError("lift0 incompatible with the matrix angle")
 
-    def base_angle(self) -> float:
-        return math.atan2(float(self.matrix[1][0]), float(self.matrix[0][0]))
-
 
 def lift(matrix, winding: int = 0) -> UnivCoverElt:
     """The lift whose value at 0 is the principal angle plus 2 pi winding."""
@@ -126,10 +123,6 @@ def lift(matrix, winding: int = 0) -> UnivCoverElt:
 
 def identity_lift() -> UnivCoverElt:
     return UnivCoverElt(IDENTITY_2x2, 0.0)
-
-
-def z_element() -> UnivCoverElt:
-    return lift(((-1, 0), (0, -1)))
 
 
 def phi_infinity(m: int = 1) -> UnivCoverElt:
@@ -203,13 +196,6 @@ def height_q(e: UnivCoverElt, grid: int = 4096) -> HeightValue:
     return HeightValue(0.5 * best, 0.5 * err)
 
 
-def log_link_chain(e: UnivCoverElt, span: int) -> list:
-    """Central translates e . phi^n for |n| <= span; all project to e's matrix."""
-    if span < 0:
-        raise SzpiroError("span must be >= 0")
-    return [compose(e, phi_infinity(n)) for n in range(-span, span + 1)]
-
-
 # ---------------------------------------------------------------------------
 # Schottky parameters and theta links
 
@@ -238,13 +224,6 @@ class ThetaLink:
     def matrices(self) -> tuple:
         return tuple(((float(j), 0.0), (0.0, 1.0 / j))
                      for j in range(1, self.ell_star + 1))
-
-    def moebius_images(self) -> tuple:
-        return tuple(j * j * self.tau for j in range(1, self.ell_star + 1))
-
-
-def theta_link(tau: complex, ell: int) -> ThetaLink:
-    return ThetaLink(tau, ell)
 
 
 def schottky(tau: complex) -> complex:
@@ -308,19 +287,22 @@ _S = ((0, -1), (1, 0))
 _S_INV = ((0, 1), (-1, 0))
 
 
-def _random_word(rng: SplitMix64, max_len: int, entry_bound: int):
+_MAX_WORD = 6  # letters in a random generator word
+_ENTRY_BOUND = 40  # largest |entry| a random generator may have
+
+
+def _random_word(rng: SplitMix64):
     letters = (_T, _T_INV, _S, _S_INV)
     for _ in range(200):
         m = IDENTITY_2x2
-        for _ in range(1 + rng.randrange(max_len)):
+        for _ in range(1 + rng.randrange(_MAX_WORD)):
             m = _mat_mul(m, letters[rng.randrange(4)])
-        if max(abs(v) for row in m for v in row) <= entry_bound:
+        if max(abs(v) for row in m for v in row) <= _ENTRY_BOUND:
             return m
     return IDENTITY_2x2  # bound too tight; the identity always qualifies
 
 
-def monodromy_generate(genus: int, punctures: int, seed: int,
-                       entry_bound: int = 40, max_word: int = 6) -> MonodromyDatum:
+def monodromy_generate(genus: int, punctures: int, seed: int) -> MonodromyDatum:
     """Random bounded words for every generator except the last puncture,
     which is solved exactly from the relation."""
     if punctures < 1:
@@ -328,10 +310,8 @@ def monodromy_generate(genus: int, punctures: int, seed: int,
     if genus < 0:
         raise SzpiroError("genus must be >= 0")
     rng = SplitMix64(seed)
-    handles = tuple((_random_word(rng, max_word, entry_bound),
-                     _random_word(rng, max_word, entry_bound))
-                    for _ in range(genus))
-    frees = [_random_word(rng, max_word, entry_bound) for _ in range(punctures - 1)]
+    handles = tuple((_random_word(rng), _random_word(rng)) for _ in range(genus))
+    frees = [_random_word(rng) for _ in range(punctures - 1)]
     total = IDENTITY_2x2
     for a, b in handles:
         total = _mat_mul(total, _commutator(a, b))
@@ -367,23 +347,7 @@ def irreducible(mats, ell: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# theta locus and the geometric chain
-
-def theta_locus_sup(links, grid: int = 1024) -> float:
-    """Max over the supplied finite family of the double height sum: a
-    certified lower bound for the sup over the full compact locus."""
-    links = list(links)
-    if not links:
-        raise SzpiroError("need at least one link tuple")
-    best = -math.inf
-    for link in links:
-        total = 0.0
-        for per_puncture in link:
-            for elt in per_puncture:
-                total += height_q(elt, grid).value
-        best = max(best, total)
-    return best
-
+# the geometric chain
 
 @dataclass(frozen=True)
 class Cor312Report:
@@ -395,40 +359,31 @@ class Cor312Report:
     passed: bool
 
 
-def corollary312_check(datum: MonodromyDatum, ell: int,
-                       lift_windings=None, grid: int = 1024,
-                       extra_links=(), seed: int | None = None) -> Cor312Report:
+def corollary312_check(datum: MonodromyDatum, ell: int, grid: int = 1024,
+                       seed: int | None = None) -> Cor312Report:
     """lhs >= mid >= rhs for lifts of the j^2 powers of the puncture loops.
 
     mid sums the heights of the individual lifts; rhs is the height of their
-    ordered product; lhs is the theta-locus value over a family containing
-    this tuple.  Tolerance comes from the reported grid errors.
+    ordered product.  lhs is the theta-locus sup over the family being
+    checked, and that family is this one tuple, so lhs is mid itself and only
+    mid >= rhs can fail.  Tolerance comes from the reported grid errors.
     """
     _check_ell(ell)
     ell_star = (ell - 1) // 2
-    windings = dict(lift_windings or {})
-    link = []
-    for s, gamma in enumerate(datum.punctures):
-        row = []
-        for j in range(1, ell_star + 1):
-            row.append(lift(power(gamma, j * j, _mat_mul, IDENTITY_2x2), windings.get((s, j), 0)))
-        link.append(tuple(row))
-    link = tuple(link)
+    link = [lift(power(gamma, j * j, _mat_mul, IDENTITY_2x2))
+            for gamma in datum.punctures for j in range(1, ell_star + 1)]
 
-    heights = [height_q(e, grid) for row in link for e in row]
+    heights = [height_q(e, grid) for e in link]
     mid = sum(h.value for h in heights)
     mid_err = sum(h.error for h in heights)
 
     product = identity_lift()
-    for row in link:
-        for e in row:
-            product = compose(product, e)
+    for e in link:
+        product = compose(product, e)
     rh = height_q(product, grid)
 
-    lhs = theta_locus_sup(list(extra_links) + [link], grid)
     tol = mid_err + rh.error + 1e-9
-    passed = (lhs >= mid - tol) and (mid >= rh.value - tol)
-    return Cor312Report(seed, lhs, mid, rh.value, tol, passed)
+    return Cor312Report(seed, mid, mid, rh.value, tol, mid >= rh.value - tol)
 
 
 # ---------------------------------------------------------------------------
@@ -457,26 +412,3 @@ def log_theta_lattice(n_values, m_values, ell: int = 5, seed: int = 0) -> dict:
             shifted = tuple(compose(e, phi_infinity(m)) for e in base)
             out[(n, m)] = LatticeSite(n, m, f"theta_{n},{m}", shifted)
     return out
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-def datum_to_json(datum: MonodromyDatum) -> dict:
-    return {
-        "genus": datum.genus,
-        "handles": [[[list(r) for r in a], [list(r) for r in b]]
-                    for a, b in datum.handles],
-        "punctures": [[list(r) for r in g] for g in datum.punctures],
-    }
-
-
-def _mat_from_json(rows) -> tuple:
-    return (tuple(int(v) for v in rows[0]), tuple(int(v) for v in rows[1]))
-
-
-def datum_from_json(data: dict) -> MonodromyDatum:
-    handles = tuple((_mat_from_json(a), _mat_from_json(b))
-                    for a, b in data["handles"])
-    punctures = tuple(_mat_from_json(g) for g in data["punctures"])
-    return MonodromyDatum(data["genus"], handles, punctures)

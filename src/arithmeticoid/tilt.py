@@ -345,15 +345,6 @@ def hahn_inv(x: HahnSeries) -> HahnSeries:
     return hahn(x.p, out, x.cap - 2 * a, x.k)
 
 
-def hahn_eq(x: HahnSeries, y: HahnSeries) -> bool:
-    """Equality of all terms below the common precision cap."""
-    _check_compatible(x, y)
-    cap = min(x.cap, y.cap)
-    tx = tuple((e, c) for e, c in x.terms if e < cap)
-    ty = tuple((e, c) for e, c in y.terms if e < cap)
-    return tx == ty
-
-
 def frobenius(x: HahnSeries) -> HahnSeries:
     fld = x.field
     return HahnSeries(
@@ -445,14 +436,15 @@ def evaluate_series(s: ZpSeries, a: HahnSeries) -> HahnSeries:
     return hahn(a.p, acc, cap, a.k)
 
 
-def lubin_tate_act(u, a: HahnSeries, precision: int | None = None) -> HahnSeries:
+def lubin_tate_act(u, a: HahnSeries) -> HahnSeries:
     """[u](a) = (1+a)^u - 1 for p-integral u, via base-p digits of u.
 
     (1+a)^{p^i} is the i-fold Frobenius of 1+a, so the action is an exact finite
-    product of small powers; the result is capped at p^precision * valuation(a)
-    when that is tighter than the series cap. Units act invertibly and preserve
-    valuation (leading term u*a); non-unit integers are still honest
-    endomorphisms, only u with p in the denominator is rejected.
+    product of small powers over the fewest digits that put the truncation
+    error, at valuation p^precision * valuation(a), past the cap. Units act
+    invertibly and preserve valuation (leading term u*a); non-unit integers
+    are still honest endomorphisms, only u with p in the denominator is
+    rejected.
     """
     p = a.p
     if a.is_zero():
@@ -460,17 +452,15 @@ def lubin_tate_act(u, a: HahnSeries, precision: int | None = None) -> HahnSeries
     va = a.valuation()
     if va <= 0:
         raise TiltError("lubin_tate_act needs valuation(a) > 0")
-    if precision is None:
-        # enough digits that the truncation error falls past the cap
-        precision = 1
-        while p ** precision * va < a.cap:
-            precision += 1
+    precision = 1
+    while p ** precision * va < a.cap:
+        precision += 1
     mod = p ** precision
     u = Fraction(u)
     if u.denominator % p == 0:
         raise TiltError(f"u = {u} is not {p}-integral")
     digits_src = u.numerator * pow(u.denominator, -1, mod) % mod
-    cap = min(a.cap, p ** precision * va)
+    cap = a.cap
     one = hahn_one(p, cap, a.k)
     base = hahn_add(one, hahn(p, dict(a.terms), cap, a.k))  # 1 + a at working cap
     out = one

@@ -9,11 +9,9 @@ from arithmeticoid.adelic import (
     DISTANCE_LIMIT,
     DISTANCE_PREFIX,
     AdelicError,
-    Arithmeticoid,
     HyperplanePoint,
     NormalizationCoordinate,
     TateSymbol,
-    aut_act,
     canonical_place_list,
     deform,
     distance,
@@ -40,7 +38,7 @@ from arithmeticoid.numfield import (
     places_over,
     roots_of_unity,
 )
-from arithmeticoid.tilt import hahn_eq, monomial
+from arithmeticoid.tilt import lubin_tate_act, monomial
 
 F = Fraction
 Q = NumberField()
@@ -241,40 +239,27 @@ def test_stabilizer_matches_structural_equality():
 
 # ---------------------------------------------------------------- unit action
 
-def _concrete_arithmeticoid(p=3, exp=F(1, 2)):
-    v = v_of(Q, p)
-    pt = local_point(v, concrete=monomial(p, exp, cap=F(10)))
-    return deform(standard_arithmeticoid(Q), v, pt), v
-
-
-def test_aut_act_identity():
-    y, v = _concrete_arithmeticoid()
-    assert aut_act({v: 1}, y).component(v).e == y.component(v).e
-
-
-def test_aut_act_preserves_beltrami_and_period():
+def test_unit_action_on_a_concrete_layer_moves_no_coordinate():
+    # [u] changes the Hahn representative, never its exponent: the carrier keeps
+    # its normalization coordinate, its period and its distance to every point
     rng = random.Random(33)
-    y, v = _concrete_arithmeticoid()
-    for _ in range(20):
-        u = rng.randint(1, 40)
-        if u % 3 == 0:
-            u += 1
-        acted = aut_act({v: u}, y)
-        assert acted.component(v).e == y.component(v).e
-        assert period_map(acted) == period_map(y)
-
-
-def test_aut_act_composition():
-    y, v = _concrete_arithmeticoid()
-    a = aut_act({v: 2}, aut_act({v: 5}, y))
-    b = aut_act({v: 10}, y)
-    assert hahn_eq(a.component(v).concrete, b.component(v).concrete)
-
-
-def test_aut_act_needs_concrete_layer():
-    y = standard_arithmeticoid(Q)
-    with pytest.raises(AdelicError):
-        aut_act({v_of(Q, 3): 2}, y)
+    y0 = standard_arithmeticoid(Q)
+    for p, exp in ((3, F(1, 2)), (5, F(2, 3))):
+        v = v_of(Q, p)
+        a = monomial(p, exp, cap=F(10))
+        for shift in (0, 1):
+            y = global_frobenius(deform(y0, v, local_point(v, concrete=a)), shift)
+            for _ in range(5):
+                u = rng.randint(2, 40)
+                if u % p == 0:
+                    u += 1
+                acted = global_frobenius(
+                    deform(y0, v, local_point(v, concrete=lubin_tate_act(u, a))), shift)
+                assert acted.component(v).concrete != y.component(v).concrete
+                assert acted.component(v).e == y.component(v).e
+                assert normalization_coordinate(acted) == normalization_coordinate(y)
+                assert period_map(acted) == period_map(y)
+                assert distance(acted, y) == 0.0
 
 
 # ---------------------------------------------------------------- metric

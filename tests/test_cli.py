@@ -33,6 +33,7 @@ from arithmeticoid.numfield import (
     prime_exponents,
 )
 from arithmeticoid.szpiro import Cor312Report
+from arithmeticoid.tilt import hahn
 
 Q = NumberField(None)
 QI = NumberField(1)
@@ -90,6 +91,23 @@ def test_parse_matrix_types():
         parse_matrix("1,2")
 
 
+def test_parse_range_bounds_both_ends():
+    assert parse_range("-64:64") == range(-64, 64)
+    assert parse_range("64") == range(0, 64)
+    for text in ("65", "-65:0", "0:65", "1:2:3", "x"):
+        with pytest.raises(CliError):
+            parse_range(text)
+
+
+def test_series_rows_stop_after_sixteen_terms():
+    short = hahn(2, {Fraction(j, 2): 1 for j in range(1, 17)}, cap=Fraction(20))
+    assert len(cli._series_rows(short)) == 16
+    long = hahn(2, {Fraction(j, 2): 1 for j in range(1, 21)}, cap=Fraction(20))
+    rows = cli._series_rows(long)
+    assert len(rows) == 17 and rows[-1] == ["...", "4 more terms"]
+    assert rows[:16] == cli._series_rows(short)
+
+
 def test_parse_range_and_complex():
     assert list(parse_range("3")) == [0, 1, 2]
     assert list(parse_range("-2:2")) == [-2, -1, 0, 1]
@@ -131,7 +149,7 @@ def test_cor312_example(capsys):
                          "--ell", "5", "--punctures", "3")
     assert code == 0
     assert doc["passed"] is True
-    assert doc["lhs"] >= doc["mid"] - doc["tolerance"]
+    assert doc["lhs"] == doc["mid"]
     assert doc["mid"] >= doc["rhs"] - doc["tolerance"]
     assert doc["seed"] == 7
 
@@ -585,7 +603,7 @@ def test_usage_exit_codes():
 NEAR_ONE = LogForm({}, Fraction(10 ** 12 + 1, 10 ** 12))
 FAILED_REPORTS = {
     "cor312": (cli.sz, "corollary312_check",
-               Cor312Report(seed=7, lhs=0.0, mid=1.0, rhs=2.0, tolerance=1e-9, passed=False),
+               Cor312Report(seed=7, lhs=1.0, mid=1.0, rhs=2.0, tolerance=1e-9, passed=False),
                ["szpiro", "cor312", "--seed", "7", "--punctures", "1"], "passed = false"),
     "product-formula": (cli, "product_formula_check",
                         ProductFormulaReport({}, prime_exponents(NEAR_ONE.modulus),

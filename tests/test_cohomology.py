@@ -9,16 +9,16 @@ from arithmeticoid.cohomology import (
     AdelicClass,
     ClassTransform,
     CohomologyError,
+    KummerClass,
+    _res_mul,
     adelic_class_from_json,
     adelic_class_to_json,
     bloch_kato_member,
     collate,
-    kummer_add,
     kummer_class,
     make_adelic_class,
     tate_class,
     transform_from_json,
-    transform_to_json,
     uniformizer,
 )
 
@@ -74,6 +74,18 @@ def test_negative_order_reduces_mod_p_power():
     assert c.order_part == 9 - 1
 
 
+def kummer_add(c1, c2):
+    """Class of a product: orders add, tags multiply."""
+    field = c1.place.field
+    return KummerClass(
+        c1.place, c1.precision,
+        (c1.order_part + c2.order_part) % c1.prime ** c1.precision,
+        _res_mul(c1.unit_tag, c2.unit_tag, field.omega_trace, field.omega_norm,
+                 c1.tag_modulus),
+        c1.tag_modulus,
+    )
+
+
 def test_kummer_is_a_homomorphism_over_q():
     rng = random.Random(67)
     for p in (2, 3, 5):
@@ -118,9 +130,6 @@ def test_kummer_validation():
         kummer_class(Q.element(Fraction(5)), archimedean_place(Q), 2)
     with pytest.raises(CohomologyError):
         kummer_class(Q.element(Fraction(5)), v, 0)
-    with pytest.raises(CohomologyError):
-        kummer_add(kummer_class(Q.element(Fraction(5)), v, 2),
-                   kummer_class(Q.element(Fraction(5)), v, 3))
 
 
 # ---------------------------------------------------------------------------
@@ -263,16 +272,25 @@ def test_adelic_class_json_round_trip():
     assert again == cls
 
 
-def test_transform_json_round_trip():
+def test_transform_from_json_reads_every_field():
     v = places_over(Q, 3)[0]
-    t = ClassTransform("y7", v, unit_scale=2, frobenius_shift=1)
-    assert transform_from_json(Q, transform_to_json(t)) == t
+    doc = {"label": "y7", "place": v.to_json(), "unit_scale": 2, "frobenius_shift": 1}
+    assert transform_from_json(Q, doc) == ClassTransform("y7", v, unit_scale=2,
+                                                         frobenius_shift=1)
+
+
+def test_transform_from_json_defaults_to_the_identity_reading():
+    v = places_over(QI, 5)[0]
+    t = transform_from_json(QI, {"label": "y", "place": v.to_json()})
+    assert t == ClassTransform("y", v, unit_scale=1, frobenius_shift=0)
+    with pytest.raises(CohomologyError):
+        transform_from_json(QI, {"label": "y", "place": v.to_json(), "unit_scale": 25})
 
 
 def test_json_loaders_reject_places_that_do_not_exist():
     v = places_over(Q, 3)[0]
     cls_doc = adelic_class_to_json(make_adelic_class(Q, {v: kummer_class(Q.element(3), v, 2)}))
-    t_doc = transform_to_json(ClassTransform("y7", v, unit_scale=2))
+    t_doc = {"label": "y7", "place": v.to_json(), "unit_scale": 2}
     for place in ({"prime": 9, "e": 1, "f": 1, "conjugate_index": 0},
                   {"prime": 3, "e": 1, "f": 2, "conjugate_index": 0},
                   {"prime": 3, "e": 1, "f": 1, "conjugate_index": 1}):

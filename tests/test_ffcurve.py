@@ -9,19 +9,14 @@ from arithmeticoid.ffcurve import (
     LocalPointArch,
     LocalPointNonArch,
     arch_act,
-    beltrami,
-    canonical_representative,
-    correspondence_fiber,
     curve_log_abs,
     frobenius_point,
     local_distance,
     local_point,
-    same_point_class,
     standard_point,
-    switch_description,
 )
 from arithmeticoid.numfield import NumberField, archimedean_place, places_over
-from arithmeticoid.tilt import coeff_field, hahn, hahn_zero, lubin_tate_act, monomial
+from arithmeticoid.tilt import hahn_one, hahn_zero, lubin_tate_act, monomial
 
 F = Fraction
 Q = NumberField()
@@ -77,9 +72,9 @@ def test_standard_points():
 
 
 def test_beltrami_values():
-    assert beltrami(standard_point(v_of(Q, 3))) == 1
-    assert beltrami(frobenius_point(standard_point(v_of(Q, 3)))) == 3
-    assert beltrami(LocalPointArch(1.0)) == 1.0
+    assert standard_point(v_of(Q, 3)).e == 1
+    assert frobenius_point(standard_point(v_of(Q, 3))).e == 3
+    assert LocalPointArch(1.0).s == 1
 
 
 def test_calibration_recovers_artin_value():
@@ -129,6 +124,23 @@ def test_point_validation():
         local_point(v_of(Q, 5), e=2, concrete=monomial(5, F(1)))
 
 
+def test_local_point_reads_its_exponent_off_the_representative():
+    rng = random.Random(24)
+    for _ in range(30):
+        p = rng.choice([2, 3, 5])
+        v = v_of(Q, p)
+        e = F(rng.randint(1, 6), rng.randint(1, 3))
+        a = monomial(p, e, cap=F(12))
+        assert local_point(v, concrete=a) == local_point(v, e=e, concrete=a)
+        assert local_point(v, concrete=a).e == e == local_point(v, e=e).e
+    v = v_of(Q, 3)
+    for bad in (hahn_zero(3), hahn_one(3)):
+        with pytest.raises(CurveError):
+            local_point(v, concrete=bad)
+    with pytest.raises(CurveError):
+        local_point(v)
+
+
 # ---------------------------------------------------------------- metric
 
 def test_local_distance_examples():
@@ -171,65 +183,3 @@ def test_unit_action_preserves_beltrami():
         ya = local_point(v_of(Q, p), concrete=a)
         yb = local_point(v_of(Q, p), concrete=b)
         assert ya.e == yb.e  # distinct representatives, equal exponents
-
-
-def test_same_point_class_under_units():
-    p = 5
-    fld = coeff_field(p, 12)
-    a = hahn(p, {F(1): 2, F(2): 3}, cap=F(6))
-    b = lubin_tate_act(3, a)
-    assert same_point_class(a, b)
-    c = hahn(p, {F(1): 2, F(2): 4}, cap=F(6))
-    assert not same_point_class(a, c)
-    assert canonical_representative(a).leading()[1] == fld.one
-
-
-# ---------------------------------------------------------------- switch
-
-def test_switch_description_examples():
-    t = monomial(2, F(1), cap=F(8))
-    m = switch_description(t)
-    one = hahn(2, {F(0): 1}, m.cap)
-    assert (m - one).valuation() == F(1)
-    with pytest.raises(CurveError):
-        switch_description(hahn_zero(2))
-
-
-def test_switch_preserves_valuation_random():
-    rng = random.Random(23)
-    for _ in range(100):
-        p = rng.choice([2, 3])
-        terms = {
-            F(rng.randint(1, 8), rng.choice([1, 2, 3])): rng.randrange(1, p)
-            for _ in range(2)
-        }
-        a = hahn(p, terms, cap=F(7))
-        if a.is_zero():
-            continue
-        m = switch_description(a)
-        one = hahn(p, {F(0): 1}, m.cap)
-        assert (m - one).valuation() == a.valuation()
-
-
-# ---------------------------------------------------------------- correspondence fiber
-
-def test_fiber_rationals_singleton():
-    fib = correspondence_fiber(Q, 5, lambda y: frobenius_point(y, 1))
-    assert len(fib) == 1
-    ((pt,),) = [t for t in fib]
-    assert pt.e == 5
-
-
-def test_fiber_split_prime():
-    fib = correspondence_fiber(QI, 5, lambda y: frobenius_point(y, 1))
-    assert 1 <= len(fib) <= 2
-    for tup in fib:
-        assert len(tup) == 2
-        assert {pt.e for pt in tup} == {F(1), F(5)}
-
-
-def test_fiber_identity_move():
-    fib = correspondence_fiber(QI, 5, lambda y: y)
-    assert len(fib) == 1
-    (tup,) = fib
-    assert all(pt.e == 1 for pt in tup)

@@ -30,28 +30,20 @@ from arithmeticoid.adelic import (
     standard_arithmeticoid,
 )
 from arithmeticoid.heights import (
+    Frobenioid,
     HeightError,
     Ideloid,
     ProjectivePoint,
     arithmetic_degree,
     default_sample,
-    frobenioid_add,
-    frobenioid_of,
-    frobenioid_of_arithmeticoid,
     frobenius_pullback,
     height,
     ideloid_from_element,
-    ideloid_mul,
     invert_j_series,
     load_j_coefficients,
     make_ideloid,
-    monoid_map,
-    perfection,
     principal_divisor,
-    projective_point,
-    realify,
     scalar_height,
-    stabilized_height,
     stabilized_height_report,
     tate_j_value,
 )
@@ -175,6 +167,10 @@ def random_rational(rng, bound=200):
     return Fraction(num, den)
 
 
+def rational_point(*coords) -> ProjectivePoint:
+    return ProjectivePoint(Q, tuple(Q.element(Fraction(q)) for q in coords))
+
+
 def random_qi_element(rng, bound=20):
     while True:
         a = Fraction(rng.randint(-bound, bound), rng.randint(1, 6))
@@ -219,19 +215,19 @@ def test_height_matches_weil_oracle_over_qi():
 def test_zero_coordinates_are_ignored():
     y0 = standard_arithmeticoid(Q)
     z = Fraction(22, 7)
-    with_zero = projective_point(Q, 0, 1, z)
-    without = projective_point(Q, 1, z)
+    with_zero = rational_point(0, 1, z)
+    without = rational_point(1, z)
     assert abs(height(y0, with_zero).total - height(y0, without).total) < 1e-15
 
 
 def test_degenerate_points_rejected():
     with pytest.raises(HeightError):
-        projective_point(Q, 0, 0)
+        rational_point(0, 0)
     with pytest.raises(HeightError):
         ProjectivePoint(Q, ())
     y0 = standard_arithmeticoid(Q)
     with pytest.raises(HeightError):
-        height(y0, projective_point(QI, 1, QI.omega()))
+        height(y0, ProjectivePoint(QI, (QI.one(), QI.omega())))
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +242,7 @@ def test_projective_scaling_invariance_at_arch_standard_points():
     for _ in range(200):
         y = rng.choice(carriers)
         coords = [random_rational(rng, 60) for _ in range(rng.randint(2, 4))]
-        point = projective_point(Q, *coords)
+        point = rational_point(*coords)
         lam = Q.element(random_rational(rng, 60))
         a = height(y, point).total
         b = height(y, point.scale(lam)).total
@@ -297,9 +293,9 @@ def test_stabilized_height_dominates_and_has_strict_witness():
     for z in (Fraction(2), Fraction(3), Fraction(5), Fraction(7),
               Fraction(1, 2), Fraction(1)):
         ze = Q.element(z)
-        assert stabilized_height(y0, ze, sample) >= scalar_height(y0, ze).total - 1e-12
+        assert stabilized_height_report(y0, ze, sample)[0] >= scalar_height(y0, ze).total - 1e-12
     five = Q.element(Fraction(5))
-    assert stabilized_height(y0, five, sample) > scalar_height(y0, five).total + 1
+    assert stabilized_height_report(y0, five, sample)[0] > scalar_height(y0, five).total + 1
 
 
 def test_stabilized_height_report_names_a_witness():
@@ -314,7 +310,7 @@ def test_trivial_sample_leaves_height_unchanged():
     y0 = standard_arithmeticoid(Q)
     z = Q.element(Fraction(7, 3))
     sample = [Q.element(Fraction(1)), Q.element(Fraction(-1))]
-    assert stabilized_height(y0, z, sample) == scalar_height(y0, z).total
+    assert stabilized_height_report(y0, z, sample) == (scalar_height(y0, z).total, None)
 
 
 def test_default_sample_contents():
@@ -330,10 +326,10 @@ def test_default_sample_contents():
 def test_sample_rejects_zero():
     y0 = standard_arithmeticoid(Q)
     with pytest.raises(HeightError):
-        stabilized_height(y0, Q.element(Fraction(2)), [Q.zero()])
+        stabilized_height_report(y0, Q.element(Fraction(2)), [Q.zero()])
 
 
-def test_stabilized_height_is_the_report_value_on_the_acceptance_sample():
+def test_stabilized_report_is_the_orbit_max_on_the_acceptance_sample():
     y0 = standard_arithmeticoid(Q)
     v5 = places_over(Q, 5)[0]
     sample = default_sample(Q, 2, 13)
@@ -341,16 +337,14 @@ def test_stabilized_height_is_the_report_value_on_the_acceptance_sample():
         for z in (Fraction(5), Fraction(7, 12), Fraction(-45, 4)):
             ze = Q.element(z)
             value, witness = stabilized_height_report(y, ze, sample)
-            assert stabilized_height(y, ze, sample) == value
             # oracle: the orbit maximum over every sample element, trivial actors included
             orbit = [scalar_height(lstar_act(a, y), ze).total for a in sample]
             assert value == max([scalar_height(y, ze).total] + orbit)
             if witness is not None:
                 assert scalar_height(lstar_act(witness, y), ze).total == value
     with_zero = sample[:3] + [Q.zero()]
-    for stabilized in (stabilized_height, stabilized_height_report):
-        with pytest.raises(HeightError):
-            stabilized(y0, Q.element(Fraction(5)), with_zero)
+    with pytest.raises(HeightError):
+        stabilized_height_report(y0, Q.element(Fraction(5)), with_zero)
 
 
 ORACLE_FIELDS = (Q, QI, NumberField(3), NumberField(5))
@@ -488,13 +482,15 @@ def test_degree_is_a_homomorphism():
     rng = random.Random(47)
     y = global_frobenius(standard_arithmeticoid(Q), 1)
     for _ in range(100):
-        a = ideloid_from_element(Q.element(random_rational(rng)))
-        b = ideloid_from_element(Q.element(random_rational(rng)))
-        product = arithmetic_degree(y, ideloid_mul(a, b))
-        lhs = product.total
-        rhs = arithmetic_degree(y, a).total + arithmetic_degree(y, b).total
-        assert abs(lhs - rhs) < 1e-9
+        x, w = Q.element(random_rational(rng)), Q.element(random_rational(rng))
+        a, b = (arithmetic_degree(y, ideloid_from_element(t)) for t in (x, w))
+        product = arithmetic_degree(y, ideloid_from_element(x * w))
+        assert abs(product.total - (a.total + b.total)) < 1e-9
         assert product.vanishes is True  # a product of principal ideloids is principal
+        finite = dict(a.finite)
+        for p, c in b.finite:
+            finite[p] = finite.get(p, 0) + c
+        assert dict(product.finite) == {p: c for p, c in finite.items() if c != 0}
 
 
 def test_degree_descends_along_lstar():
@@ -504,8 +500,11 @@ def test_degree_descends_along_lstar():
                             places_over(Q, 7)[0]: Fraction(-1)}, arch_log=0.25)
     d0 = arithmetic_degree(y, base).total
     for _ in range(100):
-        x = Q.element(random_rational(rng))
-        scaled = ideloid_mul(base, ideloid_from_element(x))
+        x = ideloid_from_element(Q.element(random_rational(rng)))
+        orders = {v: o for v, o, _ in base.entries}
+        for v, o, _ in x.entries:
+            orders[v] = orders.get(v, 0) + o
+        scaled = make_ideloid(Q, orders, base.arch_log + x.arch_log)
         assert abs(arithmetic_degree(y, scaled).total - d0) < 1e-9
 
 
@@ -526,20 +525,34 @@ def test_degree_verdict_reads_the_exact_modulus():
     assert abs(rep.total) < 1e-9 and rep.vanishes is False
 
 
+def test_principal_ideloid_keeps_its_exact_modulus():
+    rng = random.Random(49)
+    for field, maker in ((Q, lambda: Q.element(random_rational(rng))),
+                         (QI, lambda: random_qi_element(rng))):
+        for _ in range(20):
+            x = maker()
+            ideal = ideloid_from_element(x)
+            assert ideal.modulus == abs(x.norm())
+            # the ideal norm of (x): prod_v p^(f_v ord_v(x)) = |N(x)|
+            norm = Fraction(1)
+            for v, o, _ in ideal.entries:
+                norm *= Fraction(v.prime) ** int(v.f * o)
+            assert norm == ideal.modulus
+    assert make_ideloid(Q, {places_over(Q, 5)[0]: 2}).modulus is None
+
+
 def test_ideloid_validation():
     with pytest.raises(HeightError):
         Ideloid(Q, ((archimedean_place(Q), Fraction(1), "1"),))
     with pytest.raises(HeightError):
         Ideloid(Q, ((places_over(Q, 3)[0], Fraction(0), "1"),))
-    with pytest.raises(HeightError):
-        ideloid_mul(make_ideloid(Q), make_ideloid(QI))
 
 
 # ---------------------------------------------------------------------------
 # divisor monoids
 
 def test_integral_monoid_rejects_fractional_exponents():
-    frob = frobenioid_of(Q)
+    frob = Frobenioid(Q, "integer")
     v5 = places_over(Q, 5)[0]
     with pytest.raises(HeightError):
         frob.element({v5: Fraction(1, 5)})
@@ -548,7 +561,7 @@ def test_integral_monoid_rejects_fractional_exponents():
 
 
 def test_perfection_divides_only_by_the_residue_prime():
-    pf = perfection(frobenioid_of(Q))
+    pf = Frobenioid(Q, "perfection")
     v5 = places_over(Q, 5)[0]
     assert pf.element({v5: Fraction(1, 5)}).entries[0][1] == Fraction(1, 5)
     assert pf.element({v5: Fraction(3, 25)}).entries[0][1] == Fraction(3, 25)
@@ -556,46 +569,38 @@ def test_perfection_divides_only_by_the_residue_prime():
         pf.element({v5: Fraction(1, 3)})
 
 
-def test_arithmeticoid_monoid_is_the_perfection():
-    y = global_frobenius(standard_arithmeticoid(Q), 1)
-    assert frobenioid_of_arithmeticoid(y) == perfection(frobenioid_of(Q))
-
-
 def test_frobenius_pullback_produces_p_power_denominators():
-    pf = perfection(frobenioid_of(Q))
+    pf = Frobenioid(Q, "perfection")
     v2 = places_over(Q, 2)[0]
     one_zero = pf.element({v2: 1})
     pulled = frobenius_pullback(one_zero, 1)
     assert pulled.entries == ((v2, Fraction(1, 2)),)
     with pytest.raises(HeightError):
-        frobenius_pullback(frobenioid_of(Q).element({v2: 1}), 1)
+        frobenius_pullback(Frobenioid(Q, "integer").element({v2: 1}), 1)
 
 
-def test_monoid_addition_laws():
-    rng = random.Random(59)
-    pf = perfection(frobenioid_of(Q))
-    v2, v3 = places_over(Q, 2)[0], places_over(Q, 3)[0]
-    for _ in range(50):
-        a = pf.element({v2: Fraction(rng.randint(0, 8), 2 ** rng.randint(0, 3)),
-                        v3: Fraction(rng.randint(0, 8), 3 ** rng.randint(0, 2))})
-        b = pf.element({v2: Fraction(rng.randint(0, 8), 2 ** rng.randint(0, 3))})
-        c = pf.element({v3: Fraction(rng.randint(0, 8))})
-        assert frobenioid_add(a, b) == frobenioid_add(b, a)
-        assert frobenioid_add(frobenioid_add(a, b), c) == \
-            frobenioid_add(a, frobenioid_add(b, c))
-    assert frobenioid_add(a, pf.element({})).entries == a.entries
-
-
-def test_monoid_map_only_moves_forward():
-    frob = frobenioid_of(Q)
-    v7 = places_over(Q, 7)[0]
-    elt = frob.element({v7: 3})
-    lifted = monoid_map(elt, perfection(frob))
-    assert lifted.exponent(v7) == 3
-    real = monoid_map(lifted, realify(frob))
-    assert real.exponent(v7) == 3.0
+def test_real_monoid_takes_float_exponents():
+    real = Frobenioid(Q, "real")
+    v3 = places_over(Q, 3)[0]
+    elt = real.element({v3: Fraction(1, 7)})
+    assert elt.entries == ((v3, 1 / 7),) and isinstance(elt.entries[0][1], float)
+    assert frobenius_pullback(real.element({v3: 2}), 2).entries == ((v3, 2 / 9),)
     with pytest.raises(HeightError):
-        monoid_map(real, frob)
+        real.element({v3: -0.5})
+
+
+def test_monoid_elements_are_canonical():
+    pf = Frobenioid(Q, "perfection")
+    v2, v3, v5 = (places_over(Q, p)[0] for p in (2, 3, 5))
+    a = pf.element({v5: 1, v3: 0, v2: Fraction(1, 2)})
+    assert a.entries == ((v2, Fraction(1, 2)), (v5, Fraction(1)))
+    assert a == pf.element({v2: Fraction(1, 2), v5: 1})
+    with pytest.raises(HeightError):
+        Frobenioid(Q, "rational")
+    with pytest.raises(HeightError):
+        pf.element({archimedean_place(Q): 1})
+    with pytest.raises(HeightError):
+        pf.element({places_over(QI, 5)[0]: 1})
 
 
 def test_principal_divisor_signs():

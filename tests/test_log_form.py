@@ -22,7 +22,6 @@ from arithmeticoid.ffcurve import LocalPointArch, local_point
 from arithmeticoid.heights import (
     arithmetic_degree,
     ideloid_from_element,
-    ideloid_mul,
     make_ideloid,
     scalar_height,
 )
@@ -180,7 +179,15 @@ def test_degree_matches_the_inline_sum(pair, other, offset):
     y, x = pair
     ideals = [ideloid_from_element(x)]
     if other.field == x.field:
-        ideals.append(ideloid_mul(ideals[0], ideloid_from_element(other)))
+        ideals.append(ideloid_from_element(x * other))
+        # additive in the factors, exactly: coefficients add and moduli multiply
+        forms = [arithmetic_degree(y, ideloid_from_element(t)).form for t in (x, other, x * other)]
+        summed = dict(forms[0].coefficients)
+        for p, c in forms[1].coefficients.items():
+            summed[p] = summed.get(p, 0) + c
+        assert ({p: c for p, c in summed.items() if c}
+                == {p: c for p, c in forms[2].coefficients.items() if c})
+        assert forms[2].modulus == forms[0].modulus * forms[1].modulus
     if offset is not None:
         ideals.append(make_ideloid(x.field, {v: o for v, o, _ in ideals[0].entries},
                                    ideals[0].arch_log + offset))

@@ -5,7 +5,6 @@ import random
 import pytest
 
 from arithmeticoid.szpiro import (
-    Cor312Report,
     MonodromyDatum,
     SplitMix64,
     SzpiroError,
@@ -13,23 +12,17 @@ from arithmeticoid.szpiro import (
     UnivCoverElt,
     compose,
     corollary312_check,
-    datum_from_json,
-    datum_to_json,
     evaluate,
     height_q,
     identity_lift,
     irreducible,
     lift,
-    log_link_chain,
     log_theta_lattice,
     monodromy_generate,
     phi_infinity,
     reduce_mod,
     schottky,
-    theta_link,
-    theta_locus_sup,
     theta_values,
-    z_element,
 )
 
 TWO_PI = 2 * math.pi
@@ -72,7 +65,7 @@ def test_splitmix_is_deterministic():
 
 def test_lift_examples():
     assert identity_lift().lift0 == 0.0
-    assert abs(z_element().lift0 - math.pi) < 1e-15
+    assert abs(lift(((-1, 0), (0, -1))).lift0 - math.pi) < 1e-15
     assert abs(lift(((1, 0), (0, 1)), winding=1).lift0 - TWO_PI) < 1e-15
 
 
@@ -97,7 +90,7 @@ def test_identity_evaluates_to_x():
 
 
 def test_z_translates_by_pi():
-    z = z_element()
+    z = lift(((-1, 0), (0, -1)))
     rng = random.Random(7)
     for _ in range(100):
         x = rng.uniform(-20, 20)
@@ -138,7 +131,8 @@ def test_compose_with_identity():
 
 
 def test_z_squared_is_phi_infinity():
-    zz = compose(z_element(), z_element())
+    z = lift(((-1, 0), (0, -1)))
+    zz = compose(z, z)
     assert zz.matrix == ((1, 0), (0, 1))
     assert abs(zz.lift0 - TWO_PI) < 1e-12
 
@@ -185,7 +179,7 @@ def test_height_of_central_powers():
 
 
 def test_height_of_z_and_rotations():
-    assert abs(height_q(z_element()).value - math.pi / 2) < 1e-6
+    assert abs(height_q(lift(((-1, 0), (0, -1)))).value - math.pi / 2) < 1e-6
     rng = random.Random(31)
     for _ in range(10):
         theta = rng.uniform(0, TWO_PI - 0.1)
@@ -200,6 +194,12 @@ def test_height_shifts_by_pi_under_central_translation():
         for m in (-3, 1, 4):
             hm = height_q(compose(e, phi_infinity(m)), grid=512)
             assert abs(hm.value - h0.value - math.pi * m) <= h0.error + hm.error + 1e-9
+    # a winding of w is the central translate by phi_infinity^w: it adds pi * w
+    for matrix in (((1, 1), (0, 1)), ((1, -4), (0, 1))):
+        h0 = height_q(lift(matrix), grid=256)
+        for w in (2, -1):
+            hw = height_q(lift(matrix, winding=w), grid=256)
+            assert abs(hw.value - h0.value - math.pi * w) <= h0.error + hw.error + 1e-9
 
 
 def test_subadditivity_on_random_pairs():
@@ -216,19 +216,6 @@ def test_subadditivity_on_random_pairs():
 def test_height_grid_floor():
     with pytest.raises(SzpiroError):
         height_q(identity_lift(), grid=32)
-
-
-def test_log_link_chain_properties():
-    e = lift(((1, 1), (0, 1)))
-    chain = log_link_chain(e, 3)
-    assert len(chain) == 7
-    assert all(c.matrix == e.matrix for c in chain)
-    h0 = height_q(e, grid=512)
-    for n, c in zip(range(-3, 4), chain):
-        hn = height_q(c, grid=512)
-        assert abs(hn.value - h0.value - math.pi * n) <= h0.error + hn.error + 1e-9
-    with pytest.raises(SzpiroError):
-        log_link_chain(e, -1)
 
 
 # ---------------------------------------------------------------------------
@@ -271,21 +258,20 @@ def test_theta_values_decrease_in_modulus():
 
 
 def test_theta_link_matrices():
-    link = theta_link(0.2 + 0.7j, 7)
+    link = ThetaLink(0.2 + 0.7j, 7)
     assert link.ell_star == 3
     for j, m in enumerate(link.matrices, start=1):
         assert abs(m[0][0] * m[1][1] - m[0][1] * m[1][0] - 1) < 1e-12
         tau = link.tau
         moebius = (m[0][0] * tau + m[0][1]) / (m[1][0] * tau + m[1][1])
         assert abs(moebius - j * j * tau) < 1e-12
-    assert link.moebius_images() == tuple(j * j * link.tau for j in (1, 2, 3))
 
 
 def test_theta_link_validation():
     with pytest.raises(SzpiroError):
-        theta_link(0.5 - 1j, 5)
+        ThetaLink(0.5 - 1j, 5)
     with pytest.raises(SzpiroError):
-        theta_link(1j, 4)
+        ThetaLink(1j, 4)
     with pytest.raises(SzpiroError):
         theta_values(1j, 9)
 
@@ -331,6 +317,23 @@ def test_generation_is_deterministic():
     assert a == b
 
 
+def test_random_generators_respect_the_entry_bound():
+    # every generator but the last puncture is a random word with |entries| <= 40
+    for seed in range(60):
+        datum = monodromy_generate(seed % 3, 1 + seed % 4, seed)
+        words = [m for pair in datum.handles for m in pair] + list(datum.punctures[:-1])
+        for m in words:
+            assert max(abs(v) for row in m for v in row) <= 40
+            assert m[0][0] * m[1][1] - m[0][1] * m[1][0] == 1
+
+
+def test_monodromy_generate_validation():
+    with pytest.raises(SzpiroError):
+        monodromy_generate(1, 0, seed=1)
+    with pytest.raises(SzpiroError):
+        monodromy_generate(-1, 2, seed=1)
+
+
 def test_datum_validation():
     with pytest.raises(SzpiroError):
         MonodromyDatum(0, (), ())
@@ -370,26 +373,13 @@ def test_irreducibility_matches_exhaustive_oracle():
 
 
 # ---------------------------------------------------------------------------
-# theta locus and the geometric chain
-
-def test_theta_locus_singleton_and_monotonicity():
-    e = lift(((1, 1), (0, 1)))
-    f = compose(e, phi_infinity())
-    link_a = ((e,),)
-    link_b = ((f,),)
-    sa = theta_locus_sup([link_a], grid=256)
-    sb = theta_locus_sup([link_b], grid=256)
-    assert abs(sa - height_q(e, grid=256).value) < 1e-12
-    assert theta_locus_sup([link_a, link_b], grid=256) == max(sa, sb)
-    with pytest.raises(SzpiroError):
-        theta_locus_sup([], grid=256)
-
+# the geometric chain
 
 def test_cor312_trivial_datum():
     datum = MonodromyDatum(0, (), (((1, 0), (0, 1)),))
     report = corollary312_check(datum, 5, grid=256)
     assert report.passed
-    assert abs(report.lhs) < 1e-9
+    assert report.lhs == report.mid
     assert abs(report.mid) < 1e-9
     assert abs(report.rhs) < 1e-9
 
@@ -412,15 +402,53 @@ def test_cor312_random_data_all_pass():
         assert report.passed
 
 
-def test_cor312_windings_shift_mid():
-    datum = MonodromyDatum(0, (), (((1, 1), (0, 1)), ((1, -1), (0, 1))))
-    base = corollary312_check(datum, 5, grid=256)
-    shifted = corollary312_check(datum, 5, grid=256,
-                                 lift_windings={(0, 1): 2, (1, 2): -1})
-    assert shifted.passed
-    # each unit of winding multiplies that lift by the central generator,
-    # adding pi to its height: net shift pi * (2 + (-1))
-    assert abs(shifted.mid - base.mid - math.pi) < base.tolerance + shifted.tolerance + 1e-6
+def _int_mat_pow(m, n):
+    out = ((1, 0), (0, 1))
+    for _ in range(n):
+        out = ((out[0][0] * m[0][0] + out[0][1] * m[1][0],
+                out[0][0] * m[0][1] + out[0][1] * m[1][1]),
+               (out[1][0] * m[0][0] + out[1][1] * m[1][0],
+                out[1][0] * m[0][1] + out[1][1] * m[1][1]))
+    return out
+
+
+def test_cor312_mid_and_rhs_match_the_lift_oracle():
+    # mid sums the heights of the lifts of gamma^(j^2), puncture by puncture;
+    # rhs is the height of their ordered product
+    rng = random.Random(59)
+    for _ in range(8):
+        ell = rng.choice([5, 7])
+        datum = monodromy_generate(rng.randrange(2), 1 + rng.randrange(3),
+                                   seed=rng.randrange(10 ** 6))
+        lifts = [lift(_int_mat_pow(gamma, j * j))
+                 for gamma in datum.punctures for j in range(1, (ell - 1) // 2 + 1)]
+        heights = [height_q(e, 256) for e in lifts]
+        product = identity_lift()
+        for e in lifts:
+            product = compose(product, e)
+        rh = height_q(product, 256)
+        report = corollary312_check(datum, ell, grid=256, seed=4)
+        assert report.mid == sum(h.value for h in heights)
+        assert report.rhs == rh.value
+        assert report.tolerance == sum(h.error for h in heights) + rh.error + 1e-9
+        assert report.seed == 4
+
+
+def test_cor312_lhs_is_mid_and_the_verdict_reads_mid_against_rhs():
+    rng = random.Random(61)
+    for _ in range(20):
+        datum = monodromy_generate(rng.randrange(3), 1 + rng.randrange(4),
+                                   seed=rng.randrange(10 ** 6))
+        report = corollary312_check(datum, 5, grid=256)
+        assert report.lhs == report.mid
+        assert report.passed is (report.mid >= report.rhs - report.tolerance)
+
+
+def test_cor312_rejects_bad_ell():
+    datum = MonodromyDatum(0, (), (((1, 0), (0, 1)),))
+    for ell in (2, 3, 4, 9):
+        with pytest.raises(SzpiroError):
+            corollary312_check(datum, ell)
 
 
 # ---------------------------------------------------------------------------
@@ -446,12 +474,3 @@ def test_lattice_is_seed_deterministic():
     a = log_theta_lattice(range(2), range(2), ell=5, seed=9)
     b = log_theta_lattice(range(2), range(2), ell=5, seed=9)
     assert a == b
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-def test_datum_json_round_trip():
-    datum = monodromy_generate(2, 3, seed=12)
-    again = datum_from_json(datum_to_json(datum))
-    assert again == datum

@@ -7,7 +7,6 @@ import pytest
 
 from arithmeticoid.tilt import (
     DEFAULT_K,
-    HahnSeries,
     TiltError,
     WittExpansion,
     artin_hasse,
@@ -16,11 +15,10 @@ from arithmeticoid.tilt import (
     frobenius,
     hahn,
     hahn_add,
-    hahn_eq,
     hahn_inv,
     hahn_mul,
+    hahn_neg,
     hahn_one,
-    hahn_pow,
     hahn_zero,
     inverse_frobenius,
     lubin_tate_act,
@@ -40,6 +38,14 @@ DATA = Path(__file__).parent / "data"
 
 
 # ---------------------------------------------------------------- oracles
+
+def hahn_eq(x, y) -> bool:
+    """Equality of all terms below the common precision cap."""
+    assert (x.p, x.k) == (y.p, y.k), "mixed coefficient fields"
+    cap = min(x.cap, y.cap)
+    return (tuple((e, c) for e, c in x.terms if e < cap)
+            == tuple((e, c) for e, c in y.terms if e < cap))
+
 
 def oracle_artin_hasse(p, max_degree):
     """Independent derivation: AH(T) = prod_{p not | n} (1 - T^n)^(-mu(n)/n)."""
@@ -324,6 +330,39 @@ def test_lubin_tate_rejects_non_integral():
     a = monomial(2, F(1), cap=F(6))
     with pytest.raises(TiltError):
         lubin_tate_act(F(1, 2), a)
+
+
+def test_lubin_tate_matches_repeated_multiplication():
+    # [u](a) = (1+a)^u - 1, multiplied out one factor at a time
+    rng = random.Random(8)
+    for _ in range(30):
+        p = rng.choice([2, 3, 5])
+        a = random_positive_series(rng, p, cap=F(5), nterms=2)
+        u = rng.randint(1, 12)
+        one = hahn_one(p, a.cap)
+        power = one
+        for _ in range(u):
+            power = hahn_mul(power, hahn_add(one, a))
+        assert hahn_eq(lubin_tate_act(u, a), hahn_add(power, hahn_neg(one)))
+
+
+def test_lubin_tate_keeps_the_series_cap():
+    rng = random.Random(9)
+    for _ in range(30):
+        p = rng.choice([2, 3, 5])
+        cap = F(rng.randint(2, 9), rng.choice([1, 2]))
+        a = random_positive_series(rng, p, cap=cap, nterms=2)
+        u = rng.randint(1, 50)
+        if u % p == 0:
+            u += 1
+        assert lubin_tate_act(u, a).cap == a.cap
+
+
+def test_lubin_tate_zero_and_unit_valuation():
+    zero = hahn_zero(3)
+    assert lubin_tate_act(2, zero).is_zero()
+    with pytest.raises(TiltError):
+        lubin_tate_act(2, hahn_one(3))
 
 
 # ---------------------------------------------------------------- witt vectors
