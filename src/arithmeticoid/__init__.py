@@ -3,8 +3,9 @@
 The central names re-exported here cover the everyday workflow: build a number
 field, pick a carrier of local points, deform or twist it, and measure.
 Importing the package loads numfield, adelic, ffcurve, tilt, heights and
-padic, which need only the standard library; only cohomology, szpiro (and
-with it numpy) and cli wait for their own module imports.
+padic, which need only the standard library; cohomology, szpiro and cli wait
+for their own module imports.  numpy waits longer still: szpiro loads it on
+its first cover-height evaluation.
 """
 
 from .numfield import (

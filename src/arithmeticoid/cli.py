@@ -74,16 +74,8 @@ from .heights import (
     scalar_height,
     stabilized_height_report,
 )
-from .cohomology import (
-    adelic_class_from_json,
-    adelic_class_to_json,
-    bloch_kato_member,
-    collate,
-    kummer_class,
-    tate_class,
-    transform_from_json,
-)
-from . import szpiro as sz
+# cohomology and szpiro (with numpy) are imported by the handlers that use them,
+# so every other command starts without them
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -683,6 +675,8 @@ def cmd_mutate(cfg: Config, args) -> CliResult:
 # --- cohomology ------------------------------------------------------------
 
 def cmd_cohomology_kummer(cfg: Config, args) -> CliResult:
+    from .cohomology import kummer_class
+
     v = parse_place(cfg.field, args.place)
     x = parse_element(cfg.field, args.x)
     k = kummer_class(x, v, args.level)
@@ -703,6 +697,8 @@ def cmd_cohomology_kummer(cfg: Config, args) -> CliResult:
 
 
 def cmd_cohomology_tate(cfg: Config, args) -> CliResult:
+    from .cohomology import adelic_class_to_json, bloch_kato_member, tate_class
+
     semistable = {}
     for spec in args.entry or []:
         if ":" not in spec:
@@ -720,6 +716,9 @@ def cmd_cohomology_tate(cfg: Config, args) -> CliResult:
 
 
 def cmd_cohomology_collate(cfg: Config, args) -> CliResult:
+    from .cohomology import (adelic_class_from_json, adelic_class_to_json, collate,
+                             transform_from_json)
+
     data = _read_json(args.input)
     try:
         classes = {label: adelic_class_from_json(doc)
@@ -817,9 +816,11 @@ def _ghost(p: int, vec) -> list:
 
 
 def cmd_tilt_witt_check(cfg: Config, args) -> CliResult:
+    from .szpiro import SplitMix64
+
     n_len = cfg.witt_length
     sums, prods = witt_universal(args.p, n_len)
-    rng = sz.SplitMix64(cfg.seed)
+    rng = SplitMix64(cfg.seed)
     failures = []
     for i in range(args.count):
         xs = [rng.randrange(19) - 9 for _ in range(n_len)]
@@ -849,6 +850,8 @@ def cmd_tilt_witt_check(cfg: Config, args) -> CliResult:
 # --- szpiro ----------------------------------------------------------------
 
 def cmd_szpiro_height(cfg: Config, args) -> CliResult:
+    from . import szpiro as sz
+
     m = parse_matrix(args.matrix)
     e = sz.lift(m, args.winding)
     h = sz.height_q(e, cfg.grid)
@@ -863,7 +866,9 @@ def cmd_szpiro_height(cfg: Config, args) -> CliResult:
     return CliResult(doc, ["lift0", "grid", "height", "error"])
 
 
-def _random_cover_elt(rng: sz.SplitMix64):
+def _random_cover_elt(rng):
+    from . import szpiro as sz
+
     kind = rng.randrange(3)
     if kind == 0:
         t = rng.uniform(0.0, 2 * math.pi)
@@ -877,6 +882,8 @@ def _random_cover_elt(rng: sz.SplitMix64):
 
 
 def cmd_szpiro_subadd(cfg: Config, args) -> CliResult:
+    from . import szpiro as sz
+
     _check_work(f"--count {args.count} and grid {cfg.grid}", "count * grid",
                 args.count * cfg.grid, SUBADD_WORK)
     rng = sz.SplitMix64(cfg.seed)
@@ -907,6 +914,8 @@ def cmd_szpiro_subadd(cfg: Config, args) -> CliResult:
 
 
 def cmd_szpiro_theta(cfg: Config, args) -> CliResult:
+    from . import szpiro as sz
+
     tau = parse_complex(args.tau)
     vals = sz.theta_values(tau, args.ell)
     q = sz.schottky(tau)
@@ -928,6 +937,8 @@ def cmd_szpiro_theta(cfg: Config, args) -> CliResult:
 
 
 def cmd_szpiro_cor312(cfg: Config, args) -> CliResult:
+    from . import szpiro as sz
+
     datum = sz.monodromy_generate(args.genus, args.punctures, cfg.seed)
     try:
         report = sz.corollary312_check(datum, args.ell, grid=cfg.grid, seed=cfg.seed)
@@ -954,6 +965,8 @@ def cmd_szpiro_cor312(cfg: Config, args) -> CliResult:
 
 
 def cmd_szpiro_lattice(cfg: Config, args) -> CliResult:
+    from . import szpiro as sz
+
     n_values = parse_range(args.n)
     m_values = parse_range(args.m)
     _check_work(f"--n {args.n}, --m {args.m}, --ell {args.ell} and grid {cfg.grid}",

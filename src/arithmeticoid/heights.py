@@ -75,11 +75,6 @@ class ProjectivePoint:
         if all(x.is_zero() for x in self.coords):
             raise HeightError("all coordinates vanish")
 
-    def scale(self, lam: FieldElement) -> "ProjectivePoint":
-        if lam.is_zero():
-            raise HeightError("scaling by zero")
-        return ProjectivePoint(self.field, tuple(x * lam for x in self.coords))
-
     def __str__(self) -> str:
         return "(" + " : ".join(str(x) for x in self.coords) + ")"
 

@@ -13,6 +13,10 @@ Monodromy data are exact SL2(Z) tuples satisfying the one surface relation;
 irreducibility mod ell is decided by brute force over the projective line.
 Integer matrices are kept in exact arithmetic end to end, so determinant and
 relation checks never pass through floats.
+
+numpy is imported inside the functions that evaluate the action, not at the
+top: importing this module (or the CLI) stays cheap, and the first evaluation
+pays for numpy.
 """
 
 from __future__ import annotations
@@ -21,8 +25,6 @@ import cmath
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
-
-import numpy as np
 
 from .numfield import isprime, power
 
@@ -132,6 +134,8 @@ def phi_infinity(m: int = 1) -> UnivCoverElt:
 
 def _evaluate_array(e: UnivCoverElt, xs: np.ndarray) -> np.ndarray:
     """Monotone branch: reduce mod pi, move the angle, re-attach the floor."""
+    import numpy as np
+
     (a, b), (c, d) = e.matrix
     if a == 1 and d == 1 and b == 0 and c == 0:
         # central elements translate exactly; skip the trig round trip
@@ -150,6 +154,8 @@ def _evaluate_array(e: UnivCoverElt, xs: np.ndarray) -> np.ndarray:
 
 
 def evaluate(e: UnivCoverElt, x: float) -> float:
+    import numpy as np
+
     return float(_evaluate_array(e, np.asarray([x], dtype=float))[0])
 
 
@@ -181,6 +187,8 @@ def height_q(e: UnivCoverElt, grid: int = 4096) -> HeightValue:
     The error is half the largest adjacent variation seen on the refined grid:
     a modulus-of-continuity estimate, honest but crude near hyperbolic spikes.
     """
+    import numpy as np
+
     if grid < 64:
         raise SzpiroError("grid too coarse")
     xs = np.linspace(0.0, TWO_PI, grid, endpoint=False)

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from arithmeticoid import cli
+from arithmeticoid import cli, szpiro
 from arithmeticoid.cli import (
     CliError,
     main,
@@ -602,7 +602,7 @@ def test_usage_exit_codes():
 # a nonzero form whose float, about 1e-12, would pass a 1e-9 tolerance
 NEAR_ONE = LogForm({}, Fraction(10 ** 12 + 1, 10 ** 12))
 FAILED_REPORTS = {
-    "cor312": (cli.sz, "corollary312_check",
+    "cor312": (szpiro, "corollary312_check",
                Cor312Report(seed=7, lhs=1.0, mid=1.0, rhs=2.0, tolerance=1e-9, passed=False),
                ["szpiro", "cor312", "--seed", "7", "--punctures", "1"], "passed = false"),
     "product-formula": (cli, "product_formula_check",

@@ -461,13 +461,41 @@ def test_caller_guard_flags_a_planted_dead_function(tmp_path):
     assert _uncalled_public_names(pkg, files) == ["mod.py:5 dead", "mod.py:9 recursive"]
 
 
-def test_cli_import_leaves_sympy_unloaded():
-    code = ("import sys, arithmeticoid.cli; "
-            "print(sorted({m.split('.')[0] for m in sys.modules} & {'sympy', 'mpmath'}))")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+# what a command that does not use them must not pay for at start-up
+DEFERRED = ("sympy", "mpmath", "numpy", "arithmeticoid.szpiro", "arithmeticoid.cohomology")
+# the benchmark's CLI examples that compute no cover height
+NUMPY_FREE_EXAMPLES = [
+    ["height", "--field", "Q", "--z", "5"],
+    ["product-formula", "--field", "Q(sqrt(-1))", "--x", "2+i", "--format", "json"],
+    ["orbit", "--field", "Q(sqrt(-3))", "--bound", "3"],
+    ["tilt", "witt-check", "--p", "2", "--count", "50", "--seed", "11", "--format", "csv"],
+    ["places", "--field", "Q(sqrt(5))"],
+    ["tilt", "artin-hasse", "--p", "4"],
+]
+
+
+def _loaded_after(code: str, watched=DEFERRED) -> list:
+    """The modules of ``watched`` that a fresh interpreter holds after running ``code``."""
+    probe = f"{code}\nimport sys\nprint('loaded:', *(m for m in {watched!r} if m in sys.modules))"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                           timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    return proc.stdout.splitlines()[-1].split()[1:]
+
+
+def test_cli_import_leaves_deferred_modules_unloaded():
+    assert _loaded_after("import arithmeticoid.cli") == []
+
+
+def test_szpiro_loads_numpy_on_the_first_height():
+    assert _loaded_after("import arithmeticoid.szpiro", ("numpy",)) == []
+    code = "from arithmeticoid import szpiro\nszpiro.height_q(szpiro.lift(((2, 1), (1, 1))))"
+    assert _loaded_after(code, ("numpy",)) == ["numpy"]
+
+
+@pytest.mark.parametrize("argv", NUMPY_FREE_EXAMPLES, ids=" ".join)
+def test_cli_examples_without_cover_heights_leave_numpy_unloaded(argv):
+    assert _loaded_after(f"from arithmeticoid.cli import main\nmain({argv!r})", ("numpy",)) == []
 
 
 # ---------------------------------------------------------------- number theory vs sympy
