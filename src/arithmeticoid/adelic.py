@@ -3,9 +3,10 @@
 An arithmeticoid is stored sparsely: a finite map of deviations from the
 standard point, plus a lazy global Frobenius shift (the shift multiplies every
 finite Beltrami exponent by p^shift and is materialized per place on demand).
-On top of the space: the L*-action, a metric, normalization coordinates, the
-period map and its exact pairing with the product-formula hyperplane, and the
-toy mutation of Tate parameters.  Every coordinate is exact: Fraction
+On top of the space: the L*-action, a metric with the exact index of the
+first place where two carriers differ, normalization coordinates, the period
+map and its exact pairing with the product-formula hyperplane, and the toy
+mutation of Tate parameters.  Every coordinate is exact: Fraction
 Beltrami exponents at finite places and a Fraction scale s at the archimedean
 one, so the L*-action composes exactly and equal carriers sit at distance 0.
 
@@ -194,6 +195,25 @@ def distance(y1: Arithmeticoid, y2: Arithmeticoid) -> float:
     return total
 
 
+def first_difference(y1: Arithmeticoid, y2: Arithmeticoid) -> int | None:
+    """The 1-based canonical index of the first place where the materialized
+    exponents differ (e at a finite place, s at the archimedean one), or None.
+    Each d_n of `distance` is 0 before it and positive at it, so the exact
+    distance is 0 exactly when this is None, whatever the float sum reads."""
+    if y1.field != y2.field:
+        raise AdelicError("first_difference needs a common field")
+    places = sorted(set(y1.support()) | set(y2.support()), key=place_key)
+    if y1.frobenius_shift != y2.frobenius_shift:
+        # unequal shifts part every finite place outside both supports, and one
+        # of those lies among the first len(places) + 2
+        places = canonical_place_list(y1.field, len(places) + 2)
+    for v in places:
+        a, b = y1.component(v), y2.component(v)
+        if (a.s != b.s) if v.is_archimedean else (a.e != b.e):
+            return place_index(v)
+    return None
+
+
 # ---------------------------------------------------------------------------
 # normalization coordinates and the period map
 
@@ -314,12 +334,8 @@ class MutationReport:
     inverted_count: int
 
     @property
-    def flagged(self) -> tuple:
-        return tuple(e for e in self.entries if not e.admissible)
-
-    @property
     def fresh_parameters_required(self) -> bool:
-        return bool(self.flagged)
+        return not all(e.admissible for e in self.entries)
 
 
 def mutate_tate_parameters(params, independent_count: int) -> MutationReport:

@@ -54,6 +54,7 @@ from .adelic import (
     TateSymbol,
     deform,
     distance,
+    first_difference,
     global_frobenius,
     hyperplane_pairing,
     lstar_act,
@@ -476,8 +477,6 @@ def cmd_stabilized_height(cfg: Config, args) -> CliResult:
         "stabilized_height": value,
         "witness": None if witness is None else str(witness),
         "sample_size": len(sample),
-        # by construction: the report's best starts at the base height and only rises
-        "dominates_base": True,
     }
     return CliResult(doc, list(doc))
 
@@ -538,16 +537,12 @@ def cmd_product_formula(cfg: Config, args) -> CliResult:
 def cmd_distance(cfg: Config, args) -> CliResult:
     y0 = standard_arithmeticoid(cfg.field)
     y1 = build_carrier(cfg, args)
-    d = distance(y0, y1)
-    moved = bool(y1.deviations) or y1.frobenius_shift != 0
-    ok = d > 0 if moved else d == 0
     doc = {
         "field": str(cfg.field),
-        "distance": d,
-        "moved": moved,
-        "separates": ok,
+        "distance": distance(y0, y1),
+        "first_index": first_difference(y0, y1),
     }
-    return CliResult(doc, list(doc), ok=ok)
+    return CliResult(doc, list(doc))
 
 
 def cmd_period_map(cfg: Config, args) -> CliResult:
@@ -616,7 +611,7 @@ def cmd_degree(cfg: Config, args) -> CliResult:
     x = parse_element(cfg.field, args.x)
     ideal = ideloid_from_element(x)
     if args.arch_log:
-        ideal = make_ideloid(cfg.field, {v: o for v, o, _ in ideal.entries},
+        ideal = make_ideloid(cfg.field, dict(ideal.entries),
                              ideal.arch_log + args.arch_log)
     report = arithmetic_degree(standard_arithmeticoid(cfg.field), ideal)
     vanishes = report.vanishes
@@ -654,7 +649,6 @@ def cmd_mutate(cfg: Config, args) -> CliResult:
             raise CliError(f'{args.params_file} must hold a JSON list of '
                            f'{{"name": ..., "log_abs": <number>}} objects') from exc
     report = mutate_tate_parameters(params, args.independent)
-    ok = len(report.flagged) == report.inverted_count
     doc = {
         "independent": args.independent,
         "inverted_count": report.inverted_count,
@@ -664,12 +658,11 @@ def cmd_mutate(cfg: Config, args) -> CliResult:
              "log_abs_after": e.log_abs_after, "admissible": e.admissible}
             for e in report.entries
         ],
-        "consistent": ok,
     }
     rows = [[e.name, e.inverted, e.log_abs_before, e.log_abs_after, e.admissible]
             for e in report.entries]
     return CliResult(doc, ["independent", "inverted_count", "fresh_parameters_required"],
-                     ["name", "inverted", "before", "after", "admissible"], rows, ok)
+                     ["name", "inverted", "before", "after", "admissible"], rows)
 
 
 # --- cohomology ------------------------------------------------------------
@@ -754,19 +747,20 @@ def cmd_tilt_eval(cfg: Config, args) -> CliResult:
     out = lubin_tate_act(u, a)
     va, vo = a.valuation(), out.valuation()
     unit = u.denominator % args.p != 0 and u.numerator % args.p != 0
-    ok = (vo == va) if unit and vo is not None else True
+    preserved = vo == va if unit else None  # a non-unit u may raise the valuation
     doc = {
         "p": args.p,
         "u": str(u),
         "input_valuation": None if va is None else str(va),
         "output_valuation": None if vo is None else str(vo),
         "unit_action": unit,
-        "valuation_preserved": ok,
+        "valuation_preserved": preserved,
         "cap": str(out.cap),
         "terms": [{"exponent": str(e), "coeff": list(vec)} for e, vec in out.terms],
     }
     summary = ["p", "u", "input_valuation", "output_valuation", "valuation_preserved", "cap"]
-    return CliResult(doc, summary, ["exponent", "coefficient_tower"], _series_rows(out), ok)
+    return CliResult(doc, summary, ["exponent", "coefficient_tower"], _series_rows(out),
+                     preserved is not False)
 
 
 def cmd_tilt_artin_hasse(cfg: Config, args) -> CliResult:
@@ -776,9 +770,8 @@ def cmd_tilt_artin_hasse(cfg: Config, args) -> CliResult:
         "degree": args.degree,
         "coefficient_precision": cfg.padic_precision,
         "coefficients": list(series.coeffs),
-        "p_integral": True,
     }
-    summary = ["p", "degree", "coefficient_precision", "p_integral"]
+    summary = ["p", "degree", "coefficient_precision"]
     columns, rows, ok = [], [], True
     if args.exponent:
         exponent = parse_fraction(args.exponent)
@@ -918,22 +911,15 @@ def cmd_szpiro_theta(cfg: Config, args) -> CliResult:
 
     tau = parse_complex(args.tau)
     vals = sz.theta_values(tau, args.ell)
-    q = sz.schottky(tau)
-    scaled = sz.schottky(4 * tau)
-    drift = abs(scaled - q ** 4)
-    ok = drift < 1e-10
     doc = {
         "tau": tau,
         "ell": args.ell,
-        "schottky": q,
-        "scaling_drift_alpha_4": drift,
-        "scaling_ok": ok,
+        "schottky": sz.schottky(tau),
         "theta_values": [{"j": j + 1, "value": v, "modulus": abs(v)}
                          for j, v in enumerate(vals)],
     }
     rows = [[t["j"], t["value"], t["modulus"]] for t in doc["theta_values"]]
-    return CliResult(doc, ["tau", "ell", "schottky", "scaling_drift_alpha_4", "scaling_ok"],
-                     ["j", "value", "modulus"], rows, ok)
+    return CliResult(doc, ["tau", "ell", "schottky"], ["j", "value", "modulus"], rows)
 
 
 def cmd_szpiro_cor312(cfg: Config, args) -> CliResult:
@@ -952,16 +938,15 @@ def cmd_szpiro_cor312(cfg: Config, args) -> CliResult:
         "genus": args.genus,
         "punctures": args.punctures,
         "grid": cfg.grid,
-        "lhs": report.lhs,
         "mid": report.mid,
         "rhs": report.rhs,
         "tolerance": report.tolerance,
         "irreducible_mod_ell": irr,
         "passed": report.passed,
     }
-    rows = [[cfg.seed, report.lhs, report.mid, report.rhs, report.passed]]
+    rows = [[cfg.seed, report.mid, report.rhs, report.passed]]
     return CliResult(doc, ["seed", "ell", "genus", "punctures", "irreducible_mod_ell", "passed"],
-                     ["seed", "lhs", "mid", "rhs", "pass"], rows, report.passed)
+                     ["seed", "mid", "rhs", "pass"], rows, report.passed)
 
 
 def cmd_szpiro_lattice(cfg: Config, args) -> CliResult:
@@ -1087,7 +1072,7 @@ COMMANDS = [
       Flag("--winding", int, 0, (-10 ** 6, 10 ** 6))]),
     ("szpiro subadd", cmd_szpiro_subadd, "Monte-Carlo subadditivity of the height",
      [Flag("--count", int, 1000, (1, 5000))]),
-    ("szpiro theta", cmd_szpiro_theta, "theta values and Schottky scaling",
+    ("szpiro theta", cmd_szpiro_theta, "theta values and the Schottky parameter",
      [Flag("--tau", required=True, help='upper half plane, like "0.3+0.9j"'), ELL]),
     ("szpiro cor312", cmd_szpiro_cor312, "sup-mid-degree chain for one random monodromy datum",
      [ELL, Flag("--genus", int, 0, (0, 100)), Flag("--punctures", int, 3, (1, 100))]),
@@ -1149,7 +1134,13 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    print(render(result, cfg.format))
+    try:
+        print(render(result, cfg.format))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # closed by the reader: quiet the flush at exit (Python docs, "Note on SIGPIPE")
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_VALIDATION
     return EXIT_OK if result.ok else EXIT_PROPERTY
 
 

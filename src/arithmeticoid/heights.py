@@ -238,12 +238,12 @@ class Ideloid:
     a real log-modulus at the archimedean one."""
 
     field: NumberField
-    entries: tuple = ()      # ((Place, Fraction order, unit tag), ...)
+    entries: tuple = ()      # ((Place, Fraction order), ...)
     arch_log: float = 0.0
     modulus: Fraction | None = None  # the exact |N(x)| of a principal ideloid
 
     def __post_init__(self):
-        for v, o, _tag in self.entries:
+        for v, o in self.entries:
             if v.field != self.field or v.is_archimedean:
                 raise HeightError("ideloid entries live at finite places of the field")
             if o == 0:
@@ -253,7 +253,7 @@ class Ideloid:
 def make_ideloid(field: NumberField, orders: dict | None = None,
                  arch_log: float = 0.0, modulus: Fraction | None = None) -> Ideloid:
     entries = tuple(sorted(
-        ((v, Fraction(o), "1") for v, o in (orders or {}).items() if o != 0),
+        ((v, Fraction(o)) for v, o in (orders or {}).items() if o != 0),
         key=lambda t: place_key(t[0])))
     return Ideloid(field, entries, arch_log, modulus)
 
@@ -290,7 +290,7 @@ def arithmetic_degree(y: Arithmeticoid, ideal: Ideloid) -> DegreeReport:
     along the L* action."""
     if y.field != ideal.field:
         raise HeightError("ideloid and arithmeticoid fields differ")
-    form = log_form(((v, o) for v, o, _ in ideal.entries), ideal.modulus or Fraction(1))
+    form = log_form(ideal.entries, ideal.modulus or Fraction(1))
     return DegreeReport(form, ideal.arch_log, ideal.modulus is not None)
 
 

@@ -442,16 +442,6 @@ class FieldElement:
         if self.field != other.field:
             raise FieldError("mixed-field arithmetic")
 
-    @classmethod
-    def parse(cls, field: NumberField, text: str) -> "FieldElement":
-        """Parse "a" or "a,b" with rational a, b (coordinates in the integral basis)."""
-        parts = [s.strip() for s in text.split(",")]
-        if len(parts) == 1:
-            return field.element(Fraction(parts[0]))
-        if len(parts) == 2:
-            return field.element(Fraction(parts[0]), Fraction(parts[1]))
-        raise FieldError(f"cannot parse element {text!r}")
-
     def __str__(self) -> str:
         if self.field.d is None or self.b == 0:
             return str(self.a)
@@ -558,6 +548,7 @@ def place_key(v: Place) -> tuple:
 
 
 _ENUMERATION: dict = {}  # field -> canonical place list, grown on demand
+INDEX_PRIME_BOUND = 10 ** 6  # place_index sieves up to v's prime: 0.5 s at this bound
 
 
 def _enumeration(field: NumberField, bound: int) -> list[Place]:
@@ -587,6 +578,8 @@ def canonical_place_list(field: NumberField, count: int) -> list[Place]:
 
 def place_index(v: Place) -> int:
     """1-based position of a place in the canonical enumeration."""
+    if (v.prime or 1) > INDEX_PRIME_BOUND:
+        raise FieldError(f"{v} lies over a prime > {INDEX_PRIME_BOUND}; its index is not computed")
     places = _enumeration(v.field, v.prime or 1)
     n = bisect_left(places, place_key(v), key=place_key)
     if n == len(places) or places[n] != v:

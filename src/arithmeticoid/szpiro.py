@@ -177,9 +177,6 @@ class HeightValue(NamedTuple):
     value: float
     error: float
 
-    def __float__(self):
-        return self.value
-
 
 def height_q(e: UnivCoverElt, grid: int = 4096) -> HeightValue:
     """(1/2) sup of the displacement over one period, with a grid error bound.
@@ -235,17 +232,20 @@ class ThetaLink:
 
 
 def schottky(tau: complex) -> complex:
-    """q = e^{2 pi i tau}; |q| < 1 exactly when Im tau > 0."""
+    """q = e^{2 pi i tau}; |q| < 1 exactly when Im tau > 0.  Re tau is reduced
+    by its period 1 first, with the exact fmod, so that 2 pi Re tau stays finite."""
     if tau.imag <= 0:
         raise SzpiroError("tau must lie in the upper half plane")
-    return cmath.exp(2j * math.pi * tau)
+    return cmath.exp(2j * math.pi * complex(math.fmod(tau.real, 1.0), tau.imag))
 
 
 def theta_values(tau: complex, ell: int) -> tuple:
-    """(q^{j^2 / 2 ell})_{j=1..ell*}, computed in the exponent."""
+    """(q^{j^2 / 2 ell})_{j=1..ell*}, computed in the exponent after reducing
+    Re tau by the common period 2 ell."""
     _check_ell(ell)
     if tau.imag <= 0:
         raise SzpiroError("tau must lie in the upper half plane")
+    tau = complex(math.fmod(tau.real, 2 * ell), tau.imag)
     ell_star = (ell - 1) // 2
     return tuple(cmath.exp(2j * math.pi * tau * (j * j) / (2 * ell))
                  for j in range(1, ell_star + 1))
@@ -360,7 +360,6 @@ def irreducible(mats, ell: int) -> bool:
 @dataclass(frozen=True)
 class Cor312Report:
     seed: int | None
-    lhs: float
     mid: float
     rhs: float
     tolerance: float
@@ -369,12 +368,12 @@ class Cor312Report:
 
 def corollary312_check(datum: MonodromyDatum, ell: int, grid: int = 1024,
                        seed: int | None = None) -> Cor312Report:
-    """lhs >= mid >= rhs for lifts of the j^2 powers of the puncture loops.
+    """mid >= rhs for lifts of the j^2 powers of the puncture loops.
 
     mid sums the heights of the individual lifts; rhs is the height of their
-    ordered product.  lhs is the theta-locus sup over the family being
-    checked, and that family is this one tuple, so lhs is mid itself and only
-    mid >= rhs can fail.  Tolerance comes from the reported grid errors.
+    ordered product.  The theta-locus sup that bounds mid from above ranges
+    over this one tuple, so it is mid itself and is not reported.  Tolerance
+    comes from the reported grid errors.
     """
     _check_ell(ell)
     ell_star = (ell - 1) // 2
@@ -391,7 +390,7 @@ def corollary312_check(datum: MonodromyDatum, ell: int, grid: int = 1024,
     rh = height_q(product, grid)
 
     tol = mid_err + rh.error + 1e-9
-    return Cor312Report(seed, mid, mid, rh.value, tol, mid >= rh.value - tol)
+    return Cor312Report(seed, mid, rh.value, tol, mid >= rh.value - tol)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from arithmeticoid import adelic
 from arithmeticoid.adelic import (
@@ -16,6 +17,7 @@ from arithmeticoid.adelic import (
     deform,
     distance,
     divisor_support,
+    first_difference,
     global_frobenius,
     hyperplane_pairing,
     lstar_act,
@@ -366,6 +368,100 @@ def test_distance_builds_points_only_at_support_places(monkeypatch):
     assert seen == []
 
 
+# ---------------------------------------------------------------- first difference
+
+NEAR_ONE = F(10 ** 18 + 1, 10 ** 18)
+
+
+def test_first_difference_names_the_places_the_float_distance_loses():
+    y0 = standard_arithmeticoid(Q)
+    v5, v9001, v10007 = v_of(Q, 5), v_of(Q, 9001), v_of(Q, 10007)
+    cases = [
+        (deform(y0, v9001, local_point(v9001, e=2)), 1119),  # past index 1,074
+        (deform(y0, v5, local_point(v5, e=NEAR_ONE)), 4),     # log e cancels
+        (deform(y0, archimedean_place(Q), LocalPointArch(F(10 ** 20 + 1, 10 ** 20))), 1),
+        (deform(y0, v10007, local_point(v10007, e=2)), 1231),
+    ]
+    for y, n in cases:
+        assert distance(y0, y) == 0.0
+        assert first_difference(y0, y) == first_difference(y, y0) == n
+    assert first_difference(y0, y0) is None
+
+
+def test_first_difference_reads_the_materialized_exponent():
+    y0 = standard_arithmeticoid(Q)
+    v2 = v_of(Q, 2)
+    # e = 1/2 at v2 under one Frobenius twist is 1 again: v3 is the first difference
+    y = global_frobenius(deform(y0, v2, local_point(v2, e=F(1, 2))), 1)
+    assert first_difference(y0, y) == 3
+    assert first_difference(y0, global_frobenius(y0, -1)) == 2
+    # a concrete layer with the standard exponent moves nothing
+    layer = deform(y0, v2, local_point(v2, concrete=monomial(2, F(1), cap=F(10))))
+    assert layer != y0 and first_difference(y0, layer) is None
+
+
+def test_first_difference_stops_at_the_enumeration_bound():
+    y0 = standard_arithmeticoid(Q)
+    far = v_of(Q, 1000003)
+    with pytest.raises(FieldError):
+        first_difference(y0, deform(y0, far, local_point(far, e=2)))
+
+
+FAR_PRIMES = (2, 3, 5, 13, 1009, 9001, 10007)
+
+
+def _deviation(draw, field):
+    """A place near or far, and an exponent within 10^-18 of standard or a power
+    of p off it (so a Frobenius shift can make it standard again)."""
+    v = draw(st.sampled_from(places_over(field, draw(st.sampled_from(FAR_PRIMES)))))
+    factor = draw(st.sampled_from(
+        [NEAR_ONE, 1 / NEAR_ONE, F(v.prime), F(1, v.prime), F(1, v.prime ** 2), F(3, 2)]))
+    return v, local_point(v, e=v.local_degree * factor)
+
+
+@st.composite
+def _carriers(draw, field):
+    """Up to three deviations, an archimedean scale and a shift up to 100."""
+    deviations = dict(_deviation(draw, field) for _ in range(draw(st.integers(0, 3))))
+    if draw(st.booleans()):
+        deviations[archimedean_place(field)] = LocalPointArch(
+            draw(st.sampled_from([F(10 ** 20 + 1, 10 ** 20), F(1, 2), F(3)])))
+    shift = draw(st.sampled_from([0, 0, 1, -1, 2, 100, -100]))
+    return make_arithmeticoid(field, deviations, frobenius_shift=shift)
+
+
+@st.composite
+def _carrier_pairs(draw):
+    """Two carriers over one of four fields: independent, equal, or one
+    deformed at a single further place."""
+    field = draw(st.sampled_from([Q, QI, Q3, NumberField(5)]))
+    y1 = draw(_carriers(field))
+    kind = draw(st.sampled_from(["independent", "equal", "deformed"]))
+    if kind == "equal":
+        return y1, y1
+    if kind == "deformed":
+        return y1, deform(y1, *_deviation(draw, field))
+    return y1, draw(_carriers(field))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(pair=_carrier_pairs())
+def test_first_difference_is_none_exactly_when_the_period_maps_agree(pair):
+    y1, y2 = pair
+    n = first_difference(y1, y2)
+    assert (n is None) == (period_map(y1) == period_map(y2))
+    assert n == first_difference(y2, y1)
+    if n is not None:  # a walk over every place up to n agrees
+        *before, at = canonical_place_list(y1.field, n)
+        assert all(_exponent(y1, v) == _exponent(y2, v) for v in before)
+        assert _exponent(y1, at) != _exponent(y2, at)
+
+
+def _exponent(y, v):
+    pt = y.component(v)
+    return pt.s if v.is_archimedean else pt.e
+
+
 # ---------------------------------------------------------------- normalization
 
 def test_normalization_standard_all_ones():
@@ -508,21 +604,21 @@ def test_hyperplane_membership_exact():
 
 def test_mutation_single_parameter():
     rep = mutate_tate_parameters([TateSymbol("q1", math.log(0.5))], 1)
-    assert len(rep.flagged) == 1
+    assert not rep.entries[0].admissible
     assert rep.entries[0].log_abs_after == pytest.approx(math.log(2))
     assert rep.fresh_parameters_required
 
 
 def test_mutation_identity():
     rep = mutate_tate_parameters([TateSymbol("q1", -1.0)], 0)
-    assert rep.flagged == ()
+    assert rep.entries[0].admissible
     assert not rep.fresh_parameters_required
 
 
 def test_mutation_partial():
     qs = [TateSymbol(f"q{j}", -0.3 * j) for j in (1, 2, 3)]
     rep = mutate_tate_parameters(qs, 2)
-    assert len(rep.flagged) == 2
+    assert [e.admissible for e in rep.entries] == [False, False, True]
     assert [e.inverted for e in rep.entries] == [True, True, False]
 
 

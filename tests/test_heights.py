@@ -501,8 +501,8 @@ def test_degree_descends_along_lstar():
     d0 = arithmetic_degree(y, base).total
     for _ in range(100):
         x = ideloid_from_element(Q.element(random_rational(rng)))
-        orders = {v: o for v, o, _ in base.entries}
-        for v, o, _ in x.entries:
+        orders = dict(base.entries)
+        for v, o in x.entries:
             orders[v] = orders.get(v, 0) + o
         scaled = make_ideloid(Q, orders, base.arch_log + x.arch_log)
         assert abs(arithmetic_degree(y, scaled).total - d0) < 1e-9
@@ -535,7 +535,7 @@ def test_principal_ideloid_keeps_its_exact_modulus():
             assert ideal.modulus == abs(x.norm())
             # the ideal norm of (x): prod_v p^(f_v ord_v(x)) = |N(x)|
             norm = Fraction(1)
-            for v, o, _ in ideal.entries:
+            for v, o in ideal.entries:
                 norm *= Fraction(v.prime) ** int(v.f * o)
             assert norm == ideal.modulus
     assert make_ideloid(Q, {places_over(Q, 5)[0]: 2}).modulus is None
@@ -543,9 +543,9 @@ def test_principal_ideloid_keeps_its_exact_modulus():
 
 def test_ideloid_validation():
     with pytest.raises(HeightError):
-        Ideloid(Q, ((archimedean_place(Q), Fraction(1), "1"),))
+        Ideloid(Q, ((archimedean_place(Q), Fraction(1)),))
     with pytest.raises(HeightError):
-        Ideloid(Q, ((places_over(Q, 3)[0], Fraction(0), "1"),))
+        Ideloid(Q, ((places_over(Q, 3)[0], Fraction(0)),))
 
 
 # ---------------------------------------------------------------------------

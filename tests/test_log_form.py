@@ -86,7 +86,7 @@ def old_hyperplane(y, x):
 
 def old_degree(y, ideal):
     by_prime = {}
-    for v, o, _tag in ideal.entries:
+    for v, o in ideal.entries:
         e = y.component(v).e
         coeff = Fraction(v.local_degree) / e * (-(e / v.e) * o)
         by_prime[v.prime] = by_prime.get(v.prime, Fraction(0)) + coeff
@@ -189,7 +189,7 @@ def test_degree_matches_the_inline_sum(pair, other, offset):
                 == {p: c for p, c in forms[2].coefficients.items() if c})
         assert forms[2].modulus == forms[0].modulus * forms[1].modulus
     if offset is not None:
-        ideals.append(make_ideloid(x.field, {v: o for v, o, _ in ideals[0].entries},
+        ideals.append(make_ideloid(x.field, dict(ideals[0].entries),
                                    ideals[0].arch_log + offset))
     for ideal in ideals:
         rep = arithmetic_degree(y, ideal)

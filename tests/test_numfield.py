@@ -71,12 +71,6 @@ def test_parse_field_strings():
         NumberField.parse("Q(sqrt(2))")
 
 
-def test_parse_elements():
-    assert FieldElement.parse(Q, "5/3") == Q.element(Fraction(5, 3))
-    x = FieldElement.parse(QI, "2, -1/2")
-    assert (x.a, x.b) == (Fraction(2), Fraction(-1, 2))
-
-
 def test_integral_basis_choice():
     assert not QI.half_basis and QI.discriminant == -4
     assert Q3.half_basis and Q3.discriminant == -3

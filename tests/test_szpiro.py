@@ -227,6 +227,15 @@ def test_schottky_at_tau_i():
     assert abs(schottky(4j) - q ** 4) < 1e-15
 
 
+def test_a_far_real_part_keeps_its_phase():
+    # both are whole numbers, so q's period 1 takes them to 0; theta's period
+    # 2 ell = 10 takes 1e12 to 0 and the float 1e308 to 6
+    for re_tau, re_reduced in ((1e12, 0.0), (1e308, 6.0)):
+        tau = complex(re_tau, 0.5)
+        assert schottky(tau) == schottky(0.5j)
+        assert theta_values(tau, 5) == theta_values(complex(re_reduced, 0.5), 5)
+
+
 def test_schottky_scaling_law():
     rng = random.Random(43)
     alphas = [j * j for j in range(1, 11)] + [0.5, 2 / 3]
@@ -379,7 +388,6 @@ def test_cor312_trivial_datum():
     datum = MonodromyDatum(0, (), (((1, 0), (0, 1)),))
     report = corollary312_check(datum, 5, grid=256)
     assert report.passed
-    assert report.lhs == report.mid
     assert abs(report.mid) < 1e-9
     assert abs(report.rhs) < 1e-9
 
@@ -434,13 +442,12 @@ def test_cor312_mid_and_rhs_match_the_lift_oracle():
         assert report.seed == 4
 
 
-def test_cor312_lhs_is_mid_and_the_verdict_reads_mid_against_rhs():
+def test_cor312_verdict_reads_mid_against_rhs():
     rng = random.Random(61)
     for _ in range(20):
         datum = monodromy_generate(rng.randrange(3), 1 + rng.randrange(4),
                                    seed=rng.randrange(10 ** 6))
         report = corollary312_check(datum, 5, grid=256)
-        assert report.lhs == report.mid
         assert report.passed is (report.mid >= report.rhs - report.tolerance)
 
 
