@@ -18,9 +18,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .numfield import Place, _log_fraction
-from .tilt import HahnSeries, frobenius as hahn_frobenius, inverse_frobenius
+
+if TYPE_CHECKING:  # tilt loads only where a concrete layer is moved
+    from .tilt import HahnSeries
 
 
 class CurveError(ValueError):
@@ -122,7 +125,9 @@ def frobenius_point(y: LocalPointNonArch, m: int = 1) -> LocalPointNonArch:
     e = y.e * Fraction(p) ** m
     concrete = y.concrete
     if concrete is not None:
-        step = hahn_frobenius if m >= 0 else inverse_frobenius
+        from .tilt import frobenius, inverse_frobenius
+
+        step = frobenius if m >= 0 else inverse_frobenius
         for _ in range(abs(m)):
             concrete = step(concrete)
     return LocalPointNonArch(y.place, e, concrete)

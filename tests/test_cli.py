@@ -1,17 +1,20 @@
 import argparse
+import io
 import json
 import math
 import re
 import subprocess
 import sys
 import time
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from importlib import import_module
 from itertools import takewhile
 from pathlib import Path
 
 import pytest
 
-from arithmeticoid import cli, szpiro
+from arithmeticoid import adelic, cli, cli_field, cli_tilt, heights, numfield, szpiro, tilt
 from arithmeticoid.cli import (
     CliError,
     main,
@@ -104,11 +107,11 @@ def test_parse_range_bounds_both_ends():
 
 def test_series_rows_stop_after_sixteen_terms():
     short = hahn(2, {Fraction(j, 2): 1 for j in range(1, 17)}, cap=Fraction(20))
-    assert len(cli._series_rows(short)) == 16
+    assert len(cli_tilt._series_rows(short)) == 16
     long = hahn(2, {Fraction(j, 2): 1 for j in range(1, 21)}, cap=Fraction(20))
-    rows = cli._series_rows(long)
+    rows = cli_tilt._series_rows(long)
     assert len(rows) == 17 and rows[-1] == ["...", "4 more terms"]
-    assert rows[:16] == cli._series_rows(short)
+    assert rows[:16] == cli_tilt._series_rows(short)
 
 
 def test_parse_range_and_complex():
@@ -227,8 +230,9 @@ def test_every_archimedean_point_holds_a_fraction(capsys, monkeypatch):
 
     monkeypatch.setattr(LocalPointArch, "__post_init__", recorded)
     cfg = cli.resolve_config(argparse.Namespace())
-    y = cli.build_carrier(cfg, argparse.Namespace(arch_scale="0.1", deform=None, frobenius=0))
-    assert y.component(cli.archimedean_place(Q)).s == Fraction(1, 10)
+    y = cli_field.build_carrier(cfg, argparse.Namespace(arch_scale="0.1", deform=None,
+                                                         frobenius=0))
+    assert y.component(numfield.archimedean_place(Q)).s == Fraction(1, 10)
     for argv in (["height", "--z", "5/3"], ["distance", "--frobenius", "1"],
                  ["period-map", "--x", "12"],
                  ["stabilized-height", "--z", "5", "--scale", "1/3", "--max-factors", "1"]):
@@ -633,6 +637,48 @@ def test_usage_exit_codes():
     assert exc.value.code == 64
 
 
+def _parser_output(parser, argv):
+    """(exit code, stdout, stderr) of parsing argv, which must end in SystemExit."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err), pytest.raises(SystemExit) as exc:
+        parser.parse_args(argv)
+    return exc.value.code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("words,flags", [(w, f) for w, _, _, f in cli.COMMANDS],
+                         ids=[w for w, *_ in cli.COMMANDS])
+def test_one_command_parser_prints_what_the_full_parser_prints(words, flags):
+    """A command's --help and usage errors read the same whether build_parser
+    builds that command alone, as main does, or every command."""
+    argvs = [[*words.split(), "--help"], [*words.split(), "--format", "xml"]]
+    if any(f.required for f in flags):
+        argvs.append(words.split())
+    for argv in argvs:
+        alone = _parser_output(cli.build_parser(argv), argv)
+        assert alone == _parser_output(cli.build_parser(), argv)
+        assert alone[0] in (0, 64) and alone[1 + (alone[0] == 64)].startswith("usage: ")
+
+
+def test_top_level_parser_is_the_full_one_and_a_command_parser_holds_one_command():
+    for argv in (["--help"], ["tilt", "--help"], ["bogus"]):
+        assert _parser_output(cli.build_parser(argv), argv) == \
+            _parser_output(cli.build_parser(), argv)
+    code, _, err = _parser_output(cli.build_parser(["places"]), ["height", "--z", "5"])
+    assert code == 64 and "invalid choice: 'height'" in err
+
+
+def test_every_command_runs_a_handler_of_its_group():
+    for words, func, _, _ in cli.COMMANDS:
+        module, name = func.args
+        group = words.split()[0] if " " in words else "field"
+        assert module == f"cli_{group}", words
+        assert callable(getattr(import_module(f"arithmeticoid.{module}"), name)), words
+
+
+def test_witt_length_knob_stops_at_the_longest_witt_vector():
+    assert cli.KNOBS["witt_length"][1] == (1, tilt.MAX_WITT_LENGTH)
+
+
 # a nonzero form whose float, about 1e-12, would pass a 1e-9 tolerance
 NEAR_ONE = LogForm({}, Fraction(10 ** 12 + 1, 10 ** 12))
 # one case per command that can exit 2: a library call replaced by a wrong answer
@@ -642,25 +688,25 @@ FAILED_REPORTS = {
                ["szpiro", "cor312", "--seed", "7", "--punctures", "1"], "passed = false"),
     "subadd": (szpiro, "height_q", HeightValue(-1.0, 0.0),
                ["szpiro", "subadd", "--count", "3"], "subadditive = false"),
-    "orbit": (cli, "roots_of_unity", [], ["orbit", "--bound", "1"], "matches_torsion = false"),
-    "tilt-eval": (cli, "lubin_tate_act", monomial(3, Fraction(2)),
+    "orbit": (numfield, "roots_of_unity", [], ["orbit", "--bound", "1"], "matches_torsion = false"),
+    "tilt-eval": (tilt, "lubin_tate_act", monomial(3, Fraction(2)),
                   ["tilt", "eval", "--p", "3", "--u", "2", "--exponent", "1"],
                   "valuation_preserved = false"),
-    "artin-hasse": (cli, "evaluate_series", hahn_one(5),
+    "artin-hasse": (tilt, "evaluate_series", hahn_one(5),
                     ["tilt", "artin-hasse", "--p", "5", "--degree", "12", "--exponent", "2/3"],
                     "isometry = false"),
-    "witt-check": (cli, "witt_universal", ([[]] * 3, [[]] * 3),
+    "witt-check": (tilt, "witt_universal", ([[]] * 3, [[]] * 3),
                    ["tilt", "witt-check", "--p", "2", "--count", "5"],
                    "all_match_ghost_oracle = false"),
-    "product-formula": (cli, "product_formula_check",
+    "product-formula": (numfield, "product_formula_check",
                         ProductFormulaReport({}, prime_exponents(NEAR_ONE.modulus),
                                              NEAR_ONE.arch_log, abs(NEAR_ONE.value())),
                         ["product-formula", "--x", "5"], "exact = false"),
-    "period-map": (cli, "hyperplane_pairing",
+    "period-map": (adelic, "hyperplane_pairing",
                    HyperplaneReport(NEAR_ONE.content(), NEAR_ONE.arch_log,
                                     abs(NEAR_ONE.value())),
                    ["period-map", "--x", "5"], "hyperplane_exact = false"),
-    "degree": (cli, "arithmetic_degree", DegreeReport(NEAR_ONE, NEAR_ONE.arch_log, True),
+    "degree": (heights, "arithmetic_degree", DegreeReport(NEAR_ONE, NEAR_ONE.arch_log, True),
                ["degree", "--x", "5"], "principal_vanishes = false"),
 }
 

@@ -1,6 +1,7 @@
 """Fuzz the command line from its own flag table.
 
-For a subcommand drawn from ``cli.COMMANDS``, every flag it takes (the
+For each subcommand of ``cli.COMMANDS``, drawn the same number of times, every
+flag it takes (the
 configuration flags included) is omitted or given a value of one kind: small
 and in range, one past a bound, a malformed token, a 5,000-digit string,
 inf/nan, or a value from the flag's own grammar (elements, places, --deform
@@ -20,7 +21,8 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 from unittest import mock
 
-from hypothesis import example, given, settings, strategies as st
+import pytest
+from hypothesis import given, settings, strategies as st
 
 from arithmeticoid.cli import COMMANDS, ENV_PREFIX, KNOB_FLAGS, KNOBS, main
 
@@ -97,9 +99,8 @@ def _hostile(flag):
 
 
 @st.composite
-def invocations(draw):
-    """A subcommand's argv with every flag benign, except at most one hostile flag."""
-    words, _, _, flags = draw(st.sampled_from(COMMANDS))
+def invocations(draw, words, flags):
+    """The command's argv with every flag benign, except at most one hostile flag."""
     hostile = draw(st.one_of(st.none(), st.sampled_from(flags), st.sampled_from(KNOB_FLAGS)))
     argv = words.split()
     for flag in [*KNOB_FLAGS, *flags]:
@@ -120,13 +121,7 @@ def _run(argv):
     return code, out.getvalue(), err.getvalue(), time.perf_counter() - t0
 
 
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
-@given(argv=invocations())
-# carriers whose float distance reads 0: the draws reach distance too rarely
-@example(argv=["distance", "--deform=9001:2"])
-@example(argv=["distance", "--deform=5:" + NEAR_ONE])
-@example(argv=["distance", "--arch-scale=" + NEAR_ONE_SCALE])
-def test_cli_fuzz(argv):
+def _check(argv):
     clean_env = {k: v for k, v in os.environ.items() if not k.startswith(ENV_PREFIX)}
     with mock.patch.dict(os.environ, clean_env, clear=True):
         code, out, err, seconds = _run(argv)
@@ -137,3 +132,23 @@ def test_cli_fuzz(argv):
         assert text not in err, (argv, err)
     assert seconds < 5.0 and rerun[3] < 5.0, (argv, seconds, rerun[3])
     assert rerun[:2] == (code, out), argv
+
+
+# the same number of draws for every command: 21 commands, 147 draws
+DRAWS_PER_COMMAND = 7
+
+
+@pytest.mark.parametrize("words,flags", [(w, f) for w, _, _, f in COMMANDS],
+                         ids=[w for w, *_ in COMMANDS])
+@settings(max_examples=DRAWS_PER_COMMAND, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_cli_fuzz(words, flags, data):
+    _check(data.draw(invocations(words, flags), label="argv"))
+
+
+# carriers whose float distance reads 0
+@pytest.mark.parametrize("argv", [["distance", "--deform=9001:2"],
+                                  ["distance", "--deform=5:" + NEAR_ONE],
+                                  ["distance", "--arch-scale=" + NEAR_ONE_SCALE]])
+def test_cli_fuzz_examples(argv):
+    _check(argv)

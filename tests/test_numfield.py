@@ -369,7 +369,7 @@ def test_verdicts_compare_against_no_float_literal():
 
     import arithmeticoid
 
-    _, funcs = _functions(Path(arithmeticoid.__file__).parent / "cli.py")
+    _, funcs = _functions(Path(arithmeticoid.__file__).parent / "cli_field.py")
     names = {"cmd_product_formula", "cmd_period_map", "cmd_degree", "cmd_stabilized_height"}
     checked, offenders = set(), []
     for func in funcs:
@@ -455,41 +455,136 @@ def test_caller_guard_flags_a_planted_dead_function(tmp_path):
     assert _uncalled_public_names(pkg, files) == ["mod.py:5 dead", "mod.py:9 recursive"]
 
 
-# what a command that does not use them must not pay for at start-up
-DEFERRED = ("sympy", "mpmath", "numpy", "arithmeticoid.szpiro", "arithmeticoid.cohomology")
-# the benchmark's CLI examples that compute no cover height
+# modules allowed to import each other at module level (``from .x import``
+# outside functions), by importer; an edge left out here, such as ffcurve ->
+# tilt or cli -> szpiro, would make every command that loads the importer pay
+# for the imported layer
+IMPORT_GRAPH = {
+    "__init__": set(),
+    "__main__": {"cli"},
+    "adelic": {"numfield", "ffcurve"},
+    "cli": {"numfield"},
+    "cli_cohomology": {"cli", "cohomology"},
+    "cli_field": {"cli", "numfield"},
+    "cli_szpiro": {"cli", "rng", "szpiro"},
+    "cli_tilt": {"cli", "rng", "tilt"},
+    "cohomology": {"numfield"},
+    "ffcurve": {"numfield"},
+    "heights": {"numfield", "ffcurve", "adelic", "padic"},
+    "numfield": set(),
+    "padic": {"numfield"},
+    "rng": set(),
+    "szpiro": {"numfield", "rng"},
+    "tilt": {"numfield"},
+}
+
+
+def _module_level_imports(source: str) -> set:
+    """The sibling modules that ``source`` imports when it loads."""
+    import ast
+
+    def executed(nodes):
+        for node in nodes:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue  # runs when called
+            if isinstance(node, ast.If) and ast.unparse(node.test) == "TYPE_CHECKING":
+                continue  # never runs
+            yield node
+            yield from executed(ast.iter_child_nodes(node))
+
+    found = set()
+    for node in executed(ast.parse(source).body):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            found |= {node.module} if node.module else {a.name for a in node.names}
+    return found
+
+
+def test_modules_import_only_the_allowed_siblings_at_load():
+    from pathlib import Path
+
+    import arithmeticoid
+
+    paths = sorted(Path(arithmeticoid.__file__).parent.glob("*.py"))
+    graph = {p.stem: _module_level_imports(p.read_text(encoding="utf-8")) for p in paths}
+    assert graph == IMPORT_GRAPH
+
+
+def test_import_guard_sees_past_functions_and_type_checking():
+    source = ("from . import a\nfrom .b import x as y\nif TYPE_CHECKING:\n    from .c import z\n"
+              "try:\n    from .d import w\nexcept ImportError:\n    pass\n"
+              "def f():\n    from .e import v\nclass K:\n    from . import g\n")
+    assert _module_level_imports(source) == {"a", "b", "d", "g"}
+
+
+# third-party modules that a command not using them must not pay for at start-up
+DEFERRED = ("sympy", "mpmath", "numpy")
+CLI_CORE = ["arithmeticoid", "arithmeticoid.cli", "arithmeticoid.numfield"]
+# the benchmark's CLI examples that compute no cover height, with every package
+# module each one loads
 NUMPY_FREE_EXAMPLES = [
-    ["height", "--field", "Q", "--z", "5"],
-    ["product-formula", "--field", "Q(sqrt(-1))", "--x", "2+i", "--format", "json"],
-    ["orbit", "--field", "Q(sqrt(-3))", "--bound", "3"],
-    ["tilt", "witt-check", "--p", "2", "--count", "50", "--seed", "11", "--format", "csv"],
-    ["places", "--field", "Q(sqrt(5))"],
-    ["tilt", "artin-hasse", "--p", "4"],
+    (["height", "--field", "Q", "--z", "5"],
+     ["adelic", "cli_field", "ffcurve", "heights", "padic"]),
+    (["product-formula", "--field", "Q(sqrt(-1))", "--x", "2+i", "--format", "json"],
+     ["cli_field"]),
+    (["orbit", "--field", "Q(sqrt(-3))", "--bound", "3"], ["adelic", "cli_field", "ffcurve"]),
+    (["tilt", "witt-check", "--p", "2", "--count", "50", "--seed", "11", "--format", "csv"],
+     ["cli_tilt", "rng", "tilt"]),
+    (["places", "--field", "Q(sqrt(5))"], []),  # exits 1 on the field, before its handler
+    (["tilt", "artin-hasse", "--p", "4"], ["cli_tilt", "rng", "tilt"]),
 ]
 
 
-def _loaded_after(code: str, watched=DEFERRED) -> list:
-    """The modules of ``watched`` that a fresh interpreter holds after running ``code``."""
-    probe = f"{code}\nimport sys\nprint('loaded:', *(m for m in {watched!r} if m in sys.modules))"
+def _loaded_after(*steps: str) -> list:
+    """For each code step, run in turn in one fresh interpreter: the package's
+    modules and those of DEFERRED that it holds after the step."""
+    show = ("print('loaded:', *sorted(m for m in sys.modules"
+            f" if m.split('.')[0] == 'arithmeticoid' or m in {DEFERRED!r}))")
+    probe = "import sys\n" + "".join(f"{code}\n{show}\n" for code in steps)
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                           timeout=60)
     assert proc.returncode == 0, proc.stderr
-    return proc.stdout.splitlines()[-1].split()[1:]
+    lines = [line.split()[1:] for line in proc.stdout.splitlines() if line.startswith("loaded:")]
+    assert len(lines) == len(steps), proc.stdout
+    return lines
 
 
 def test_cli_import_leaves_deferred_modules_unloaded():
-    assert _loaded_after("import arithmeticoid.cli") == []
+    """The package loads no module of its own, the CLI only its core, and the
+    package's names load the three layers they come from."""
+    package, cli, names = _loaded_after("import arithmeticoid", "import arithmeticoid.cli",
+                                        "from arithmeticoid import *")
+    assert package == ["arithmeticoid"]
+    assert cli == CLI_CORE
+    layers = ["arithmeticoid." + m for m in ("adelic", "ffcurve", "heights", "padic")]
+    assert names == sorted(CLI_CORE + layers)
+
+
+def test_package_names_resolve_to_their_modules():
+    import arithmeticoid
+    from arithmeticoid import adelic, heights
+
+    assert arithmeticoid.__all__[-1] == "__version__"
+    for name in arithmeticoid.__all__[:-1]:
+        value = getattr(arithmeticoid, name)
+        assert any(getattr(m, name, None) is value for m in (numfield, adelic, heights)), name
+    assert set(arithmeticoid.__all__) <= set(dir(arithmeticoid))
+    with pytest.raises(AttributeError):
+        arithmeticoid.no_such_name
 
 
 def test_szpiro_loads_numpy_on_the_first_height():
-    assert _loaded_after("import arithmeticoid.szpiro", ("numpy",)) == []
     code = "from arithmeticoid import szpiro\nszpiro.height_q(szpiro.lift(((2, 1), (1, 1))))"
-    assert _loaded_after(code, ("numpy",)) == ["numpy"]
+    before, after = _loaded_after("import arithmeticoid.szpiro", code)
+    assert "numpy" not in before and "numpy" in after
 
 
-@pytest.mark.parametrize("argv", NUMPY_FREE_EXAMPLES, ids=" ".join)
-def test_cli_examples_without_cover_heights_leave_numpy_unloaded(argv):
-    assert _loaded_after(f"from arithmeticoid.cli import main\nmain({argv!r})", ("numpy",)) == []
+@pytest.mark.parametrize("argv,handler_modules", NUMPY_FREE_EXAMPLES,
+                         ids=[" ".join(argv) for argv, _ in NUMPY_FREE_EXAMPLES])
+def test_cli_examples_without_cover_heights_leave_numpy_unloaded(argv, handler_modules):
+    """Each example loads the CLI core and the modules its handler calls, and
+    neither numpy nor any other layer."""
+    [loaded] = _loaded_after(f"from arithmeticoid.cli import main\nmain({argv!r})")
+    assert loaded == sorted(CLI_CORE + ["arithmeticoid." + m for m in handler_modules])
 
 
 # ---------------------------------------------------------------- number theory vs sympy
