@@ -323,27 +323,18 @@ class MutationEntry:
     log_abs_before: float
     log_abs_after: float
 
-    @property
-    def admissible(self) -> bool:
-        return self.log_abs_after < 0
-
 
 @dataclass(frozen=True)
 class MutationReport:
     entries: tuple
-    inverted_count: int
-
-    @property
-    def fresh_parameters_required(self) -> bool:
-        return not all(e.admissible for e in self.entries)
 
 
 def mutate_tate_parameters(params, independent_count: int) -> MutationReport:
     """sigma(q_j) = q_j^{-1} on the first `independent_count` symbols.
 
     Inverting a parameter with |q| < 1 lands outside the admissible disk, so
-    every inverted symbol is flagged and the mutated curve demands a fresh
-    parameter list.
+    an entry is admissible exactly when it is not inverted, and any inversion
+    demands a fresh parameter list.
     """
     params = list(params)
     r = independent_count
@@ -358,4 +349,4 @@ def mutate_tate_parameters(params, independent_count: int) -> MutationReport:
             entries.append(MutationEntry(q.name, True, q.log_abs, -q.log_abs))
         else:
             entries.append(MutationEntry(q.name, False, q.log_abs, q.log_abs))
-    return MutationReport(tuple(entries), r)
+    return MutationReport(tuple(entries))

@@ -443,7 +443,7 @@ COMMANDS = [
       Flag("--pullback", int, 0, (0, 64), "divide exponents by p^M at each place")]),
     ("degree", FIELD.cmd_degree, "arithmetic degree of a principal ideloid",
      [X, Flag("--arch-log", float, 0.0, help="extra archimedean log-modulus")]),
-    ("mutate", FIELD.cmd_mutate, "invert Tate parameters and flag the results",
+    ("mutate", FIELD.cmd_mutate, "invert the leading Tate parameters",
      [Flag("--param", repeat=True, metavar="NAME:LOG_ABS", help="Tate symbol (repeatable)"),
       Flag("--params-file", metavar="PATH", help='JSON list of {"name", "log_abs"}'),
       Flag("--independent", int, None, (0, None), "how many leading symbols to invert",

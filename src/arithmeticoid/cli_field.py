@@ -295,15 +295,11 @@ def cmd_mutate(cfg: Config, args) -> CliResult:
     report = adelic.mutate_tate_parameters(params, args.independent)
     doc = {
         "independent": args.independent,
-        "inverted_count": report.inverted_count,
-        "fresh_parameters_required": report.fresh_parameters_required,
         "entries": [
             {"name": e.name, "inverted": e.inverted, "log_abs_before": e.log_abs_before,
-             "log_abs_after": e.log_abs_after, "admissible": e.admissible}
+             "log_abs_after": e.log_abs_after}
             for e in report.entries
         ],
     }
-    rows = [[e.name, e.inverted, e.log_abs_before, e.log_abs_after, e.admissible]
-            for e in report.entries]
-    return CliResult(doc, ["independent", "inverted_count", "fresh_parameters_required"],
-                     ["name", "inverted", "before", "after", "admissible"], rows)
+    rows = [[e.name, e.inverted, e.log_abs_before, e.log_abs_after] for e in report.entries]
+    return CliResult(doc, ["independent"], ["name", "inverted", "before", "after"], rows)

@@ -604,21 +604,20 @@ def test_hyperplane_membership_exact():
 
 def test_mutation_single_parameter():
     rep = mutate_tate_parameters([TateSymbol("q1", math.log(0.5))], 1)
-    assert not rep.entries[0].admissible
+    assert rep.entries[0].inverted
     assert rep.entries[0].log_abs_after == pytest.approx(math.log(2))
-    assert rep.fresh_parameters_required
 
 
 def test_mutation_identity():
     rep = mutate_tate_parameters([TateSymbol("q1", -1.0)], 0)
-    assert rep.entries[0].admissible
-    assert not rep.fresh_parameters_required
+    assert not rep.entries[0].inverted
+    assert rep.entries[0].log_abs_after == -1.0
 
 
 def test_mutation_partial():
     qs = [TateSymbol(f"q{j}", -0.3 * j) for j in (1, 2, 3)]
     rep = mutate_tate_parameters(qs, 2)
-    assert [e.admissible for e in rep.entries] == [False, False, True]
+    assert [e.log_abs_after for e in rep.entries] == [-q.log_abs for q in qs[:2]] + [qs[2].log_abs]
     assert [e.inverted for e in rep.entries] == [True, True, False]
 
 

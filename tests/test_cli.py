@@ -275,12 +275,13 @@ def test_frobenioid_integer_pullback_rejected(capsys):
     assert code == 1
 
 
-def test_mutate_flags_inverted_parameters(capsys):
+def test_mutate_inverts_the_leading_parameters(capsys):
     code, doc = run_json(capsys, "mutate", "--param", "q1:-2.0",
                          "--param", "q2:-0.5", "--independent", "1")
     assert code == 0
-    assert doc["fresh_parameters_required"] is True
-    assert [e["admissible"] for e in doc["entries"]] == [False, True]
+    assert set(doc) == {"independent", "entries"}
+    assert [(e["inverted"], e["log_abs_after"]) for e in doc["entries"]] == [(True, 2.0),
+                                                                             (False, -0.5)]
 
 
 def test_kummer_class_split_conjugates(capsys):
@@ -688,7 +689,8 @@ FAILED_REPORTS = {
                ["szpiro", "cor312", "--seed", "7", "--punctures", "1"], "passed = false"),
     "subadd": (szpiro, "height_q", HeightValue(-1.0, 0.0),
                ["szpiro", "subadd", "--count", "3"], "subadditive = false"),
-    "orbit": (numfield, "roots_of_unity", [], ["orbit", "--bound", "1"], "matches_torsion = false"),
+    "orbit": (numfield, "roots_of_unity", [], ["orbit", "--bound", "1"],
+              "matches_torsion = false"),
     "tilt-eval": (tilt, "lubin_tate_act", monomial(3, Fraction(2)),
                   ["tilt", "eval", "--p", "3", "--u", "2", "--exponent", "1"],
                   "valuation_preserved = false"),
