@@ -147,8 +147,10 @@ def test_cli_fuzz(words, flags, data):
 
 
 # carriers whose float distance reads 0
-@pytest.mark.parametrize("argv", [["distance", "--deform=9001:2"],
-                                  ["distance", "--deform=5:" + NEAR_ONE],
-                                  ["distance", "--arch-scale=" + NEAR_ONE_SCALE]])
+FAR_CARRIERS = [["distance", "--deform=9001:2"], ["distance", "--deform=5:" + NEAR_ONE],
+                ["distance", "--arch-scale=" + NEAR_ONE_SCALE]]
+
+
+@pytest.mark.parametrize("argv", FAR_CARRIERS, ids=" ".join)
 def test_cli_fuzz_examples(argv):
     _check(argv)
