@@ -28,8 +28,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from importlib import resources
 from itertools import combinations_with_replacement
+from operator import mul
+from pathlib import Path
 
 from .numfield import (
     FieldElement,
@@ -40,6 +43,7 @@ from .numfield import (
     _log_fraction,
     archimedean_place,
     divisor_support,
+    isprime,
     log_form,
     log_term,
     place_key,
@@ -371,13 +375,9 @@ def principal_divisor(x: FieldElement) -> tuple:
 
 def load_j_coefficients(path=None) -> dict:
     """Parse 'n c_n' lines; '#' starts a comment.  Defaults to the shipped table."""
-    if path is None:
-        text = (resources.files("arithmeticoid") / J_DATA_RESOURCE).read_text()
-    else:
-        with open(path) as fh:
-            text = fh.read()
+    source = resources.files("arithmeticoid") / J_DATA_RESOURCE if path is None else Path(path)
     out = {}
-    for line in text.splitlines():
+    for line in source.read_text().splitlines():
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
@@ -388,55 +388,59 @@ def load_j_coefficients(path=None) -> dict:
     return out
 
 
+def _horner(coeffs: dict, x: PadicScalar, abs_prec: int) -> PadicScalar:
+    """Sum of coeffs[n] * x^n over 0 <= n <= abs_prec / v(x), v(x) > 0, to
+    absolute precision abs_prec: one Horner pass over the integers mod p^abs_prec."""
+    top = abs_prec // x.val
+    missing = next((n for n in range(top + 1) if n not in coeffs), None)
+    if missing is not None:
+        raise HeightError(
+            f"coefficient table too short: need the degree-{missing} term at this precision")
+    mod = x.p ** abs_prec
+    digits = x.unit * x.p ** x.val
+    total = 0
+    for n in range(top, -1, -1):
+        total = (total * digits + coeffs[n]) % mod
+    return PadicScalar.from_fraction(total, x.p, abs_prec).truncated(abs_prec)
+
+
+@lru_cache
+def _reversion(top: int) -> dict:
+    """r_0 .. r_top, as far as the shipped table reaches, with q = sum r_n u^n
+    the inverse of u = 1/j(q) = q/h(q), h = q*j(q) = 1 + 744q + ....  Lagrange
+    inversion gives r_n = [q^(n-1)] h^n / n, an integer as h's coefficients are."""
+    c = load_j_coefficients()
+    h = [c[n - 1] for n in range(min(top, len(c)))]
+    r = {0: 0}
+    power = [1] + [0] * (len(h) - 1)  # h^(n-1), through degree len(h) - 1
+    for n in range(1, len(h) + 1):
+        power = [sum(map(mul, power[:m + 1], h[m::-1])) for m in range(len(h))]
+        r[n] = power[n - 1] // n
+    return r
+
+
 def tate_j_value(q: PadicScalar, coeffs: dict) -> PadicScalar:
     """Evaluate the expansion at a parameter of positive valuation."""
     if q.val <= 0:
         raise HeightError("expansion needs |q| < 1, so positive valuation")
-    total = q.inverse()
-    total = total + PadicScalar.from_fraction(coeffs.get(0, 744), q.p, q.prec)
-    n = 1
-    while n * q.val <= q.abs_precision:
-        c = coeffs.get(n)
-        if c is None:
-            raise HeightError(
-                f"coefficient table too short: need c_{n} at this precision")
-        total = total + PadicScalar.from_fraction(c, q.p, q.prec) * q ** n
-        n += 1
-    return total
+    return q.inverse() + _horner(coeffs, q, q.abs_precision)
 
 
-def invert_j_series(p: int, j_value, precision: int, coeff_path=None) -> PadicScalar:
+def invert_j_series(p: int, j_value, precision: int) -> PadicScalar:
     """Solve j(q) = j for q with v_p(q) = -v_p(j) > 0.
 
-    Fixed point of q -> 1/(j - c_0 - sum_{n>=1} c_n q^n), contracting because
-    the correction terms sit at strictly positive valuation.  Requires
-    v_p(j) < 0; an integral j lies outside the regime this expansion inverts.
+    q = sum r_n u^n at u = 1/j (`_reversion`), and v_p(u) = k > 0, so the
+    terms past degree (k + precision) / k sit at valuation >= k + precision:
+    one Horner pass gives q to absolute precision k + precision, certified by
+    valuation alone.  Requires v_p(j) < 0; an integral j lies outside the
+    regime this expansion inverts.
     """
     if precision < 1:
         raise HeightError("precision must be >= 1")
-    coeffs = load_j_coefficients(coeff_path)
-    rel = precision + 4
-    j = PadicScalar.from_fraction(Fraction(j_value), p, rel)
-    if j.is_zero() or j.val >= 0:
+    if not isprime(p):
+        raise HeightError(f"p = {p} is not a prime")
+    j = Fraction(j_value)
+    if j.denominator % p:
         raise HeightError("j must have negative valuation (pole of the expansion)")
-    k = -j.val
-    c0 = PadicScalar.from_fraction(coeffs.get(0, 744), p, rel)
-    q = j.inverse()
-    for _ in range(64):
-        tail = None
-        n = 1
-        while n * k <= q.abs_precision:
-            c = coeffs.get(n)
-            if c is None:
-                raise HeightError(
-                    f"coefficient table too short: need c_{n} at this precision")
-            term = PadicScalar.from_fraction(c, p, rel) * q ** n
-            tail = term if tail is None else tail + term
-            n += 1
-        d = j - c0 if tail is None else j - c0 - tail
-        q_next = d.inverse()
-        if q_next.agrees_with(q, k + precision):
-            # claim only the digits the fixed point has actually verified
-            return q_next.truncated(k + precision)
-        q = q_next
-    raise HeightError("series inversion did not stabilize")
+    u = PadicScalar.from_fraction(1 / j, p, precision)
+    return _horner(_reversion(precision // u.val + 1), u, u.val + precision)

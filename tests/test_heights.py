@@ -106,6 +106,41 @@ def write_j_data(path, n_max: int = 64):
         fh.write("\n".join(lines) + "\n")
 
 
+def fixed_point_inversion(p, j_value, precision, coeffs):
+    """The j-series inverted as a fixed point of q -> 1/(j - c_0 - sum c_n q^n),
+    contracting because the correction terms sit at positive valuation."""
+    rel = precision + 4
+    j = PadicScalar.from_fraction(Fraction(j_value), p, rel)
+    if j.is_zero() or j.val >= 0:
+        raise HeightError("j must have negative valuation (pole of the expansion)")
+    k = -j.val
+    c0 = PadicScalar.from_fraction(coeffs[0], p, rel)
+    q = j.inverse()
+    for _ in range(64):
+        tail = None
+        n = 1
+        while n * k <= q.abs_precision:
+            term = PadicScalar.from_fraction(coeffs[n], p, rel) * q ** n
+            tail = term if tail is None else tail + term
+            n += 1
+        d = j - c0 if tail is None else j - c0 - tail
+        q_next = d.inverse()
+        if q_next.agrees_with(q, k + precision):
+            return q_next.truncated(k + precision)
+        q = q_next
+    raise AssertionError("series inversion did not stabilize")
+
+
+def loop_j_value(q, coeffs):
+    """The expansion summed term by term: 1/q + c_0 + sum c_n q^n, n*v(q) <= abs precision."""
+    total = q.inverse() + PadicScalar.from_fraction(coeffs[0], q.p, q.prec)
+    n = 1
+    while n * q.val <= q.abs_precision:
+        total = total + PadicScalar.from_fraction(coeffs[n], q.p, q.prec) * q ** n
+        n += 1
+    return total
+
+
 def orbit_report_oracle(y, z, sample):
     """The stabilized report as a walk over the orbit: act by every sample
     element that moves y and measure the height at each orbit point."""
@@ -659,21 +694,83 @@ def test_inversion_rejects_integral_j():
         invert_j_series(5, Fraction(0), 8)
     with pytest.raises(HeightError):
         invert_j_series(5, Fraction(7, 3), 8)  # v_5 = 0
+    with pytest.raises(HeightError, match="precision"):
+        invert_j_series(5, Fraction(1, 5), 0)
 
 
-def test_short_table_raises(tmp_path):
-    path = tmp_path / "short.txt"
-    table = dict(j_expansion_coefficients(2))
-    path.write_text("\n".join(f"{n} {c}" for n, c in sorted(table.items())) + "\n")
-    with pytest.raises(HeightError, match="too short"):
-        invert_j_series(2, Fraction(3, 2), 30, coeff_path=path)
+@pytest.mark.parametrize("p", [0, 1, 4, 6, -3])
+def test_inversion_rejects_a_composite_or_unit_p(p):
+    with pytest.raises(HeightError, match=f"p = {p} is not a prime"):
+        invert_j_series(p, Fraction(1, 2), 4)
+
+
+def test_inversion_equals_the_fixed_point_oracle():
+    table = load_j_coefficients()
+    rng = random.Random(0x7A7E)
+    inversions = evaluations = 0
+    for p in (2, 3, 5, 7, 11, 13, 101):
+        for k in (1, 2, 3, 4, 5, 7):
+            for precision in (1, 2, 3, 4, 8, 16, 20, 32):
+                for offset in (0, 744, -744, Fraction(1, 3)):
+                    unit = rng.choice((1, -1)) * (rng.randrange(p ** 3) * p + rng.randrange(1, p))
+                    j = Fraction(unit, p ** k) + offset
+                    inversions += 1
+                    try:
+                        expected = fixed_point_inversion(p, j, precision, table)
+                    except HeightError:  # v_3(j) >= 0: the offset 1/3 cancelled the pole
+                        assert (p, k, offset) == (3, 1, Fraction(1, 3))
+                        with pytest.raises(HeightError):
+                            invert_j_series(p, j, precision)
+                        continue
+                    q = invert_j_series(p, j, precision)
+                    assert q == expected, (p, j, precision)
+                    for x in (q, q.truncated(q.abs_precision - 1), q.truncated(k + 1)):
+                        if not x.is_zero():
+                            assert tate_j_value(x, table) == loop_j_value(x, table)
+                            evaluations += 1
+    assert (inversions, evaluations) == (1344, 3849)
+
+
+def test_first_reversion_coefficients_are_the_classical_ones():
+    # u = 1/j = q/h(q), h = q*j(q); substitute q = u + 744u^2 + ... into it
+    h = [c for _, c in sorted(load_j_coefficients().items())][:5]
+    r = [0, 1, 744, 750420, 872769632]
+    inv_h = [1] + [0] * 4
+    for m in range(1, 5):
+        inv_h[m] = -sum(h[i] * inv_h[m - i] for i in range(1, m + 1))
+    u_of_q = [0] + inv_h[:4]  # q/h(q) through q^4
+    composed, power = [0] * 5, [1] + [0] * 4
+    for coefficient in u_of_q:
+        composed = [a + coefficient * b for a, b in zip(composed, power)]
+        power = _poly_mul_trunc(power, r, 5)
+    assert composed == [0, 1, 0, 0, 0]
+
+
+def test_lagrange_reversion_gives_the_classical_coefficients():
+    assert heights._reversion(4) == {0: 0, 1: 1, 2: 744, 3: 750420, 4: 872769632}
+
+
+def test_inversion_reaches_the_table_ceiling():
+    j = Fraction(3, 2)
+    q = invert_j_series(2, j, 65)
+    assert (q.val, q.prec) == (1, 65)
+    back = tate_j_value(q, dict(j_expansion_coefficients(66)))
+    assert back.agrees_with(PadicScalar.from_fraction(j, 2, 70), 64)
+
+
+def test_short_table_raises():
+    with pytest.raises(HeightError, match="coefficient table too short"):
+        invert_j_series(2, Fraction(3, 2), 66)
+    q = invert_j_series(2, Fraction(3, 2), 30)
+    with pytest.raises(HeightError, match="coefficient table too short"):
+        tate_j_value(q, dict(j_expansion_coefficients(2)))
 
 
 def test_table_must_have_the_pole(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("0 744\n1 196884\n")
-    with pytest.raises(HeightError):
-        invert_j_series(2, Fraction(1, 2), 4, coeff_path=path)
+    with pytest.raises(HeightError, match="simple pole"):
+        load_j_coefficients(path)
 
 
 def test_forward_evaluation_rejects_nonpositive_valuation():
