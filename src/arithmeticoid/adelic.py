@@ -332,17 +332,16 @@ class MutationReport:
 def mutate_tate_parameters(params, independent_count: int) -> MutationReport:
     """sigma(q_j) = q_j^{-1} on the first `independent_count` symbols.
 
-    Inverting a parameter with |q| < 1 lands outside the admissible disk, so
-    an entry is admissible exactly when it is not inverted, and any inversion
-    demands a fresh parameter list.
+    A Tate parameter has 0 < |q| < 1: log|q| is finite and negative.
     """
     params = list(params)
     r = independent_count
     if not 0 <= r <= len(params):
         raise AdelicError(f"independent_count {r} out of range 0..{len(params)}")
     for q in params:
-        if not q.log_abs < 0:
-            raise AdelicError(f"|{q.name}| >= 1 is not an admissible Tate parameter")
+        if not -math.inf < q.log_abs < 0:
+            raise AdelicError(f"{q.name} has log|q| = {q.log_abs}: a Tate parameter "
+                              f"needs 0 < |q| < 1")
     entries = []
     for j, q in enumerate(params):
         if j < r:

@@ -626,6 +626,9 @@ def test_mutation_validation():
         mutate_tate_parameters([TateSymbol("q", -1.0)], 2)
     with pytest.raises(AdelicError):
         mutate_tate_parameters([TateSymbol("q", 0.5)], 1)
+    for log_abs in (-math.inf, math.nan, float("-1e400")):  # |q| = 0 is no Tate parameter
+        with pytest.raises(AdelicError, match="q7 has log"):
+            mutate_tate_parameters([TateSymbol("q1", -1.0), TateSymbol("q7", log_abs)], 1)
 
 
 # ---------------------------------------------------------------- serialization

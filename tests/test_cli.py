@@ -284,6 +284,16 @@ def test_mutate_inverts_the_leading_parameters(capsys):
                                                                              (False, -0.5)]
 
 
+@pytest.mark.parametrize("log_abs", ["-inf", "-1e400", "nan"])
+def test_mutate_rejects_a_non_finite_log_abs(capsys, tmp_path, log_abs):
+    path = tmp_path / "params.json"
+    path.write_text(json.dumps([{"name": "a", "log_abs": log_abs}]))
+    for source in (["--param", f"a:{log_abs}"], ["--params-file", str(path)]):
+        assert main(["mutate", *source, "--independent", "1", "--format", "json"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and "a has log|q| = " in err and "0 < |q| < 1" in err, err
+
+
 def test_kummer_class_split_conjugates(capsys):
     code, a = run_json(capsys, "cohomology", "kummer", "--field", "Q(sqrt(-1))",
                        "--x", "2+i", "--place", "5", "--level", "3")
