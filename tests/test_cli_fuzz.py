@@ -11,10 +11,11 @@ specs, exponents, ...).  The grammar reaches far out too: a place past index
 text (a Traceback, "invalid literal", "Exceeds the limit", "math domain error")
 off stderr, finish in under 5 s, and print the same stdout when rerun.  Only a
 command whose verdict rests on a grid estimate may exit 2: every other verdict
-is a theorem.
+is a theorem.  A run that exits 0 in json mode must print JSON.
 """
 
 import io
+import json
 import os
 import time
 from contextlib import redirect_stderr, redirect_stdout
@@ -132,6 +133,8 @@ def _check(argv):
         assert text not in err, (argv, err)
     assert seconds < 5.0 and rerun[3] < 5.0, (argv, seconds, rerun[3])
     assert rerun[:2] == (code, out), argv
+    if code == 0 and "--format=json" in argv:
+        json.loads(out)
 
 
 # the same number of draws for every command: 21 commands, 147 draws

@@ -6,6 +6,7 @@ blocks cover the carrier layer's commands (heights, stabilized heights,
 distances, period maps, monoids, degrees, product formulas, cohomology,
 place listings, Tate-parameter mutation, collation, tilt and universal-cover
 commands) plus the README's worked examples, each in table, json and csv mode.
+Every json block must parse.
 Input files named by relative path (a parameter list, a collation payload) sit
 next to the goldens in tests/data/.
 """
@@ -44,3 +45,5 @@ def test_cli_output_matches_golden(capsys, monkeypatch, code, argv, expected):
     monkeypatch.chdir(DATA)
     assert main(list(argv)) == code
     assert capsys.readouterr().out == expected
+    if argv[-2:] == ["--format", "json"]:
+        json.loads(expected)
