@@ -283,7 +283,7 @@ def _kummer_to_json(k: KummerClass) -> dict:
 
 def adelic_class_to_json(c: AdelicClass) -> dict:
     return {
-        "field": "Q" if c.field.d is None else f"Q(sqrt(-{c.field.d}))",
+        "field": str(c.field),
         "finite": [_kummer_to_json(k) for _, k in c.finite],
         "archimedean": [c.archimedean.real, c.archimedean.imag],
     }

@@ -198,12 +198,6 @@ class HahnSeries:
                 return c
         return self.field.zero
 
-    def to_json(self) -> list:
-        return [
-            {"exponent": f"{a.numerator}/{a.denominator}", "coeff": list(c)}
-            for a, c in self.terms
-        ]
-
     def __add__(self, other):
         return hahn_add(self, other)
 
