@@ -83,7 +83,7 @@ def _is_irreducible(f, p):
     x_red = mulmod([1], x)  # x reduced mod f (differs for k = 1)
     if power(x, p ** k, mulmod, [1]) != x_red:
         return False
-    for q in {d for d in (2, 3, 5, 7, 11) if k % d == 0}:
+    for q in (d for d in range(2, k + 1) if k % d == 0 and isprime(d)):
         h = power(x, p ** (k // q), mulmod, [1])
         diff = list(h)
         while len(diff) < 2:
@@ -587,28 +587,22 @@ def _common_cap(x: WittExpansion, y: WittExpansion | None = None) -> Fraction:
     return min(caps)
 
 
-def witt_add(x: WittExpansion, y: WittExpansion) -> WittExpansion:
+def _witt_op(x: WittExpansion, y: WittExpansion, which: int) -> WittExpansion:
+    """Evaluate the universal sums (which = 0) or products (which = 1) on x, y."""
     _check_witt_pair(x, y)
-    sums, _ = witt_universal(x.p, x.length)
+    polys = witt_universal(x.p, x.length)[which]
     k = x.components[0].k
     cap = _common_cap(x, y)
-    comps = tuple(
-        _eval_witt_poly(sums[n], x.components, y.components, x.p, k, cap)
-        for n in range(x.length)
-    )
-    return WittExpansion(x.p, comps)
+    return WittExpansion(x.p, tuple(_eval_witt_poly(q, x.components, y.components, x.p, k, cap)
+                                    for q in polys))
+
+
+def witt_add(x: WittExpansion, y: WittExpansion) -> WittExpansion:
+    return _witt_op(x, y, 0)
 
 
 def witt_mul(x: WittExpansion, y: WittExpansion) -> WittExpansion:
-    _check_witt_pair(x, y)
-    _, prods = witt_universal(x.p, x.length)
-    k = x.components[0].k
-    cap = _common_cap(x, y)
-    comps = tuple(
-        _eval_witt_poly(prods[n], x.components, y.components, x.p, k, cap)
-        for n in range(x.length)
-    )
-    return WittExpansion(x.p, comps)
+    return _witt_op(x, y, 1)
 
 
 def witt_neg(x: WittExpansion) -> WittExpansion:

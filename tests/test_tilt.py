@@ -135,6 +135,16 @@ def test_coeff_field_modulus_deterministic():
     assert len(f) == 5 and f[-1] == 1
 
 
+def test_coeff_field_modulus_is_irreducible_for_a_prime_degree_past_11():
+    # the gcd test must see every prime factor of k: x^13 - x splits over F_13
+    assert coeff_field(13, 13).modulus == [1, 12] + [0] * 11 + [1]  # x^13 - x + 1
+    for p, k in [(13, 13), (2, 13), (3, 17), (2, 19)]:
+        fld = coeff_field(p, k)
+        for c in range(p):
+            a = fld._pad([-c % p, 1])  # x - c
+            assert fld.mul(a, fld.inv(a)) == fld.one, (p, k, c)
+
+
 # ---------------------------------------------------------------- hahn arithmetic
 
 def test_monomial_product():
