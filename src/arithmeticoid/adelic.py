@@ -74,9 +74,6 @@ class Arithmeticoid:
             if v.is_archimedean != isinstance(pt, LocalPointArch):
                 raise AdelicError("deviation point kind does not match its place")
 
-    def deviation_map(self) -> dict:
-        return dict(self.deviations)
-
     def component(self, v: Place) -> LocalPoint:
         """Materialize the local point at v, applying the lazy Frobenius shift."""
         for w, pt in self.deviations:
@@ -108,7 +105,7 @@ def standard_arithmeticoid(field: NumberField, label: str = "y0") -> Arithmetico
 
 def deform(y: Arithmeticoid, v: Place, pt: LocalPoint, label: str | None = None) -> Arithmeticoid:
     """Replace the local component at v (pre-shift data), pruning standard points."""
-    entries = y.deviation_map()
+    entries = dict(y.deviations)
     entries[v] = pt
     return make_arithmeticoid(y.field, entries, y.frobenius_shift,
                               label if label is not None else y.label)
@@ -131,7 +128,7 @@ def lstar_act(x: FieldElement, y: Arithmeticoid) -> Arithmeticoid:
         raise AdelicError("element and arithmeticoid fields differ")
     if x.is_zero():
         raise AdelicError("L* action needs x != 0")
-    entries = y.deviation_map()
+    entries = dict(y.deviations)
     for v, o in divisor_support(x):
         entries[v] = frobenius_point(entries.get(v, standard_point(v)), o)
     arch = archimedean_place(y.field)
@@ -273,20 +270,7 @@ def period_map(y: Arithmeticoid) -> HyperplanePoint:
     return HyperplanePoint(normalization_coordinate(y))
 
 
-@dataclass(frozen=True)
-class HyperplaneReport:
-    """Exact total coefficients and float residual of sum_v alpha_v log|x|_{K_{y_v}}."""
-
-    finite_coefficients: dict  # prime -> exact total coefficient of log p
-    archimedean_term: float
-    residual: float
-
-    @property
-    def exact(self) -> bool:
-        return all(c == 0 for c in self.finite_coefficients.values())
-
-
-def hyperplane_pairing(y: Arithmeticoid, x: FieldElement) -> HyperplaneReport:
+def hyperplane_pairing(y: Arithmeticoid, x: FieldElement) -> LogForm:
     """Pair x in L* with the period data alpha = normalization_coordinate(y).
 
     At a finite place alpha_v multiplies log|x|_{K_y} = c log p, the value at
@@ -301,8 +285,7 @@ def hyperplane_pairing(y: Arithmeticoid, x: FieldElement) -> HyperplaneReport:
     for v, o in divisor_support(x):
         c = coords.at(v) * curve_log_abs(o, v.e, y.component(v).e)
         finite[v.prime] = finite.get(v.prime, Fraction(0)) + c
-    form = LogForm(finite, abs(x.norm()))
-    return HyperplaneReport(form.content(), form.arch_log, abs(form.value()))
+    return LogForm(finite, abs(x.norm()))
 
 
 # ---------------------------------------------------------------------------
@@ -324,12 +307,7 @@ class MutationEntry:
     log_abs_after: float
 
 
-@dataclass(frozen=True)
-class MutationReport:
-    entries: tuple
-
-
-def mutate_tate_parameters(params, independent_count: int) -> MutationReport:
+def mutate_tate_parameters(params, independent_count: int) -> tuple[MutationEntry, ...]:
     """sigma(q_j) = q_j^{-1} on the first `independent_count` symbols.
 
     A Tate parameter has 0 < |q| < 1: log|q| is finite and negative.
@@ -342,10 +320,5 @@ def mutate_tate_parameters(params, independent_count: int) -> MutationReport:
         if not -math.inf < q.log_abs < 0:
             raise AdelicError(f"{q.name} has log|q| = {q.log_abs}: a Tate parameter "
                               f"needs 0 < |q| < 1")
-    entries = []
-    for j, q in enumerate(params):
-        if j < r:
-            entries.append(MutationEntry(q.name, True, q.log_abs, -q.log_abs))
-        else:
-            entries.append(MutationEntry(q.name, False, q.log_abs, q.log_abs))
-    return MutationReport(tuple(entries))
+    return tuple(MutationEntry(q.name, j < r, q.log_abs, -q.log_abs if j < r else q.log_abs)
+                 for j, q in enumerate(params))

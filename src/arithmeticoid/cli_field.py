@@ -197,17 +197,17 @@ def cmd_period_map(cfg: Config, args) -> CliResult:
     ok = True
     if args.x:
         x = parse_element(cfg.field, args.x)
-        pairing = adelic.hyperplane_pairing(y, x)
-        ok = pairing.exact
+        form = adelic.hyperplane_pairing(y, x)
+        content = form.content()
+        ok = not any(content.values())  # form.exact, without factoring |N(x)| again
         doc["hyperplane"] = {
             "x": str(x),
-            "finite_coefficients": {str(p): str(c)
-                                    for p, c in sorted(pairing.finite_coefficients.items())},
-            "archimedean_term": pairing.archimedean_term,
-            "residual": pairing.residual,
+            "finite_coefficients": {str(p): str(c) for p, c in sorted(content.items())},
+            "archimedean_term": form.arch_log,
+            "residual": form.residual,
             "exact": ok,
         }
-        summary += [("hyperplane_x", x), ("hyperplane_residual", pairing.residual),
+        summary += [("hyperplane_x", x), ("hyperplane_residual", form.residual),
                     ("hyperplane_exact", ok)]
     return CliResult(doc, summary, ["place", "alpha"], coords.overrides, ok)
 
@@ -216,7 +216,7 @@ def cmd_frobenioid(cfg: Config, args) -> CliResult:
     from . import heights
 
     x = parse_element(cfg.field, args.x)
-    div = heights.principal_divisor(x)
+    div = numfield.divisor_support(x)
     effective = all(o >= 0 for _, o in div)
     entries = None
     if effective:
@@ -292,14 +292,14 @@ def cmd_mutate(cfg: Config, args) -> CliResult:
         except (KeyError, TypeError, ValueError) as exc:
             raise CliError(f'{args.params_file} must hold a JSON list of '
                            f'{{"name": ..., "log_abs": <number>}} objects') from exc
-    report = adelic.mutate_tate_parameters(params, args.independent)
+    entries = adelic.mutate_tate_parameters(params, args.independent)
     doc = {
         "independent": args.independent,
         "entries": [
             {"name": e.name, "inverted": e.inverted, "log_abs_before": e.log_abs_before,
              "log_abs_after": e.log_abs_after}
-            for e in report.entries
+            for e in entries
         ],
     }
-    rows = [[e.name, e.inverted, e.log_abs_before, e.log_abs_after] for e in report.entries]
+    rows = [[e.name, e.inverted, e.log_abs_before, e.log_abs_after] for e in entries]
     return CliResult(doc, ["independent"], ["name", "inverted", "before", "after"], rows)

@@ -182,8 +182,9 @@ def scalar_height(y: Arithmeticoid, z: FieldElement) -> HeightReport:
     return height(y, ProjectivePoint(y.field, (y.field.one(), z)))
 
 
-def stabilized_height_report(y: Arithmeticoid, z: FieldElement, sample=None):
-    """(value, witness) version; witness None means the orbit point y itself.
+def stabilized_height_report(y: Arithmeticoid, z: FieldElement, sample):
+    """(sup of the height of (1 : z) over a.y for a in sample, witness a);
+    witness None means the orbit point y itself.
 
     Closed form, no orbit is built: a.y scores fin + s_a * L, with fin (the
     finite sum, f_v * max(0, -ord_v z) at every carrier) and L (log_abs) read
@@ -196,8 +197,6 @@ def stabilized_height_report(y: Arithmeticoid, z: FieldElement, sample=None):
     element that moves s out of the float range raises CurveError, as
     `lstar_act` does.
     """
-    if sample is None:
-        sample = default_sample(y.field)
     base = scalar_height(y, z)
     fin = sum(t.value for t in base.finite)
     log_abs = base.archimedean.log_abs
@@ -284,7 +283,7 @@ class DegreeReport:
     @property
     def vanishes(self) -> bool | None:
         """Whether a principal ideloid's degree is 0, decided exactly; None otherwise."""
-        return self.form.is_zero() if self.principal else None
+        return self.form.exact if self.principal else None
 
 
 def arithmetic_degree(y: Arithmeticoid, ideal: Ideloid) -> DegreeReport:
@@ -363,13 +362,6 @@ def frobenius_pullback(elt: FrobenioidElement, m: int = 1) -> FrobenioidElement:
     return elt.monoid.element(exps)
 
 
-def principal_divisor(x: FieldElement) -> tuple:
-    """Signed divisor of x in the group completion: +1 at a simple zero."""
-    if x.is_zero():
-        raise HeightError("0 has no divisor")
-    return tuple(divisor_support(x))
-
-
 # ---------------------------------------------------------------------------
 # the modular j-expansion and its inversion
 
@@ -389,9 +381,10 @@ def load_j_coefficients(path=None) -> dict:
 
 
 def _horner(coeffs: dict, x: PadicScalar, abs_prec: int) -> PadicScalar:
-    """Sum of coeffs[n] * x^n over 0 <= n <= abs_prec / v(x), v(x) > 0, to
-    absolute precision abs_prec: one Horner pass over the integers mod p^abs_prec."""
-    top = abs_prec // x.val
+    """Sum of coeffs[n] * x^n over 0 <= n < abs_prec / v(x), v(x) > 0, to
+    absolute precision abs_prec: one Horner pass over the integers mod p^abs_prec.
+    Every later term is 0 mod p^abs_prec, as the coefficients are integers."""
+    top = (abs_prec - 1) // x.val
     missing = next((n for n in range(top + 1) if n not in coeffs), None)
     if missing is not None:
         raise HeightError(
@@ -420,17 +413,18 @@ def _reversion(top: int) -> dict:
 
 
 def tate_j_value(q: PadicScalar, coeffs: dict) -> PadicScalar:
-    """Evaluate the expansion at a parameter of positive valuation."""
+    """Evaluate the expansion at a parameter of positive valuation v.  The 1/q
+    term keeps abs_precision - 2v digits, so the tail is summed to that many."""
     if q.val <= 0:
         raise HeightError("expansion needs |q| < 1, so positive valuation")
-    return q.inverse() + _horner(coeffs, q, q.abs_precision)
+    return q.inverse() + _horner(coeffs, q, max(1, q.abs_precision - 2 * q.val))
 
 
 def invert_j_series(p: int, j_value, precision: int) -> PadicScalar:
     """Solve j(q) = j for q with v_p(q) = -v_p(j) > 0.
 
     q = sum r_n u^n at u = 1/j (`_reversion`), and v_p(u) = k > 0, so the
-    terms past degree (k + precision) / k sit at valuation >= k + precision:
+    terms of degree n >= (k + precision) / k sit at valuation >= k + precision:
     one Horner pass gives q to absolute precision k + precision, certified by
     valuation alone.  Requires v_p(j) < 0; an integral j lies outside the
     regime this expansion inverts.
@@ -443,4 +437,4 @@ def invert_j_series(p: int, j_value, precision: int) -> PadicScalar:
     if j.denominator % p:
         raise HeightError("j must have negative valuation (pole of the expansion)")
     u = PadicScalar.from_fraction(1 / j, p, precision)
-    return _horner(_reversion(precision // u.val + 1), u, u.val + precision)
+    return _horner(_reversion((precision - 1) // u.val + 1), u, u.val + precision)

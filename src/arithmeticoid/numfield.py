@@ -431,13 +431,6 @@ class FieldElement:
             return self.inverse() ** (-k)
         return power(self, k, FieldElement.__mul__, self.field.one())
 
-    def as_complex(self) -> complex:
-        if self.field.d is None:
-            return complex(self.a)
-        t = self.field.omega_trace
-        omega = complex(t / 2, math.sqrt(-self.field.discriminant) / 2)
-        return complex(self.a) + complex(self.b) * omega
-
     def _check(self, other: "FieldElement"):
         if self.field != other.field:
             raise FieldError("mixed-field arithmetic")
@@ -672,7 +665,8 @@ class LogForm:
 
     Logs of distinct primes are linearly independent over Q (prod p^(k_p) = 1
     forces every k_p = 0), so the form is 0 exactly when the total coefficient
-    of every log p is: `is_zero` needs no tolerance (Bombieri-Gubler, ch. 1).
+    of every log p is: `exact` says so with no tolerance (Bombieri-Gubler,
+    ch. 1), and `residual` is the float |value()| beside it.
     """
 
     coefficients: dict  # prime -> Fraction coefficient of log p
@@ -685,7 +679,8 @@ class LogForm:
             out[p] = out.get(p, _ZERO) + m
         return out
 
-    def is_zero(self) -> bool:
+    @property
+    def exact(self) -> bool:
         return not any(self.content().values())
 
     @property
@@ -697,6 +692,10 @@ class LogForm:
 
     def value(self) -> float:
         return self.arch_log + self.finite_value()
+
+    @property
+    def residual(self) -> float:
+        return abs(self.value())
 
 
 def log_form(divisor, modulus: Fraction) -> LogForm:
@@ -765,7 +764,7 @@ def product_formula_check(x: FieldElement) -> ProductFormulaReport:
     norm_exponents = {p: Fraction(m) for p, m in sorted(valuations.items(), key=lambda t: t[1] < 0)
                       if m}
     finite_sums = {p: form.coefficients.get(p, _ZERO) for p in sorted(norm_exponents)}
-    return ProductFormulaReport(finite_sums, norm_exponents, form.arch_log, abs(form.value()))
+    return ProductFormulaReport(finite_sums, norm_exponents, form.arch_log, form.residual)
 
 
 def roots_of_unity(field: NumberField) -> list[FieldElement]:

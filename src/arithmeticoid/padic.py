@@ -52,10 +52,6 @@ class PadicScalar:
         mod = p ** prec
         return cls(p, vn - vd, num * pow(den, -1, mod) % mod, prec)
 
-    def to_fraction(self) -> Fraction:
-        """The obvious rational representative of the stored digits."""
-        return Fraction(self.unit) * Fraction(self.p) ** self.val
-
     def __mul__(self, other: "PadicScalar") -> "PadicScalar":
         _check(self, other)
         if self.is_zero() or other.is_zero():

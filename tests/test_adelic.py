@@ -603,22 +603,22 @@ def test_hyperplane_membership_exact():
 # ---------------------------------------------------------------- mutation
 
 def test_mutation_single_parameter():
-    rep = mutate_tate_parameters([TateSymbol("q1", math.log(0.5))], 1)
-    assert rep.entries[0].inverted
-    assert rep.entries[0].log_abs_after == pytest.approx(math.log(2))
+    (entry,) = mutate_tate_parameters([TateSymbol("q1", math.log(0.5))], 1)
+    assert entry.inverted
+    assert entry.log_abs_after == pytest.approx(math.log(2))
 
 
 def test_mutation_identity():
-    rep = mutate_tate_parameters([TateSymbol("q1", -1.0)], 0)
-    assert not rep.entries[0].inverted
-    assert rep.entries[0].log_abs_after == -1.0
+    (entry,) = mutate_tate_parameters([TateSymbol("q1", -1.0)], 0)
+    assert not entry.inverted
+    assert entry.log_abs_after == -1.0
 
 
 def test_mutation_partial():
     qs = [TateSymbol(f"q{j}", -0.3 * j) for j in (1, 2, 3)]
-    rep = mutate_tate_parameters(qs, 2)
-    assert [e.log_abs_after for e in rep.entries] == [-q.log_abs for q in qs[:2]] + [qs[2].log_abs]
-    assert [e.inverted for e in rep.entries] == [True, True, False]
+    entries = mutate_tate_parameters(qs, 2)
+    assert [e.log_abs_after for e in entries] == [-q.log_abs for q in qs[:2]] + [qs[2].log_abs]
+    assert [e.inverted for e in entries] == [True, True, False]
 
 
 def test_mutation_validation():

@@ -29,7 +29,6 @@ from arithmeticoid.cohomology import (
     make_adelic_class,
 )
 from arithmeticoid.ffcurve import LocalPointArch
-from arithmeticoid.adelic import HyperplaneReport
 from arithmeticoid.heights import DegreeReport
 from arithmeticoid.numfield import (
     LogForm,
@@ -714,9 +713,7 @@ FAILED_REPORTS = {
                         ProductFormulaReport({}, prime_exponents(NEAR_ONE.modulus),
                                              NEAR_ONE.arch_log, abs(NEAR_ONE.value())),
                         ["product-formula", "--x", "5"], "exact = false"),
-    "period-map": (adelic, "hyperplane_pairing",
-                   HyperplaneReport(NEAR_ONE.content(), NEAR_ONE.arch_log,
-                                    abs(NEAR_ONE.value())),
+    "period-map": (adelic, "hyperplane_pairing", NEAR_ONE,
                    ["period-map", "--x", "5"], "hyperplane_exact = false"),
     "degree": (heights, "arithmetic_degree", DegreeReport(NEAR_ONE, NEAR_ONE.arch_log, True),
                ["degree", "--x", "5"], "principal_vanishes = false"),

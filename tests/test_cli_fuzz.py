@@ -152,8 +152,11 @@ def test_cli_fuzz(words, flags, data):
 # carriers whose float distance reads 0
 FAR_CARRIERS = [["distance", "--deform=9001:2"], ["distance", "--deform=5:" + NEAR_ONE],
                 ["distance", "--arch-scale=" + NEAR_ONE_SCALE]]
+# non-finite Tate parameters in json mode, which the draws rarely combine
+NON_FINITE_PARAMS = [["mutate", f"--param=a:{v}", "--independent=1", "--format=json"]
+                     for v in ("-inf", "nan")]
 
 
-@pytest.mark.parametrize("argv", FAR_CARRIERS, ids=" ".join)
+@pytest.mark.parametrize("argv", FAR_CARRIERS + NON_FINITE_PARAMS, ids=" ".join)
 def test_cli_fuzz_examples(argv):
     _check(argv)
