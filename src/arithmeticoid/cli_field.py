@@ -198,11 +198,10 @@ def cmd_period_map(cfg: Config, args) -> CliResult:
     if args.x:
         x = parse_element(cfg.field, args.x)
         form = adelic.hyperplane_pairing(y, x)
-        content = form.content()
-        ok = not any(content.values())  # form.exact, without factoring |N(x)| again
+        ok = form.exact
         doc["hyperplane"] = {
             "x": str(x),
-            "finite_coefficients": {str(p): str(c) for p, c in sorted(content.items())},
+            "finite_coefficients": {str(p): str(c) for p, c in sorted(form.content.items())},
             "archimedean_term": form.arch_log,
             "residual": form.residual,
             "exact": ok,

@@ -26,7 +26,7 @@ import re
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import compress
 
 
@@ -672,6 +672,7 @@ class LogForm:
     coefficients: dict  # prime -> Fraction coefficient of log p
     modulus: Fraction = Fraction(1)
 
+    @cached_property
     def content(self) -> dict:
         """prime -> exact total coefficient of log p, the modulus's exponents included."""
         out = dict(self.coefficients)
@@ -681,7 +682,7 @@ class LogForm:
 
     @property
     def exact(self) -> bool:
-        return not any(self.content().values())
+        return not any(self.content.values())
 
     @property
     def arch_log(self) -> float:

@@ -587,10 +587,10 @@ def _common_cap(x: WittExpansion, y: WittExpansion | None = None) -> Fraction:
     return min(caps)
 
 
-def _witt_op(x: WittExpansion, y: WittExpansion, which: int) -> WittExpansion:
-    """Evaluate the universal sums (which = 0) or products (which = 1) on x, y."""
+def _witt_op(x: WittExpansion, y: WittExpansion, pick) -> WittExpansion:
+    """Evaluate on x, y the universal polynomials pick(sums, prods) names."""
     _check_witt_pair(x, y)
-    polys = witt_universal(x.p, x.length)[which]
+    polys = pick(*witt_universal(x.p, x.length))
     k = x.components[0].k
     cap = _common_cap(x, y)
     return WittExpansion(x.p, tuple(_eval_witt_poly(q, x.components, y.components, x.p, k, cap)
@@ -598,11 +598,11 @@ def _witt_op(x: WittExpansion, y: WittExpansion, which: int) -> WittExpansion:
 
 
 def witt_add(x: WittExpansion, y: WittExpansion) -> WittExpansion:
-    return _witt_op(x, y, 0)
+    return _witt_op(x, y, lambda sums, prods: sums)
 
 
 def witt_mul(x: WittExpansion, y: WittExpansion) -> WittExpansion:
-    return _witt_op(x, y, 1)
+    return _witt_op(x, y, lambda sums, prods: prods)
 
 
 def witt_neg(x: WittExpansion) -> WittExpansion:

@@ -7,11 +7,9 @@ import pytest
 
 from arithmeticoid import adelic, heights
 from arithmeticoid.numfield import (
-    InfiniteOrder,
     NumberField,
     archimedean_place,
     canonical_place_list,
-    divisor_support,
     places_over,
     roots_of_unity,
 )
@@ -637,15 +635,6 @@ def test_monoid_elements_are_canonical():
         pf.element({archimedean_place(Q): 1})
     with pytest.raises(HeightError):
         pf.element({places_over(QI, 5)[0]: 1})
-
-
-def test_principal_divisor_signs():
-    x = Q.element(Fraction(12, 5))
-    div = dict(divisor_support(x))
-    by_prime = {v.prime: o for v, o in div.items()}
-    assert by_prime == {2: 2, 3: 1, 5: -1}
-    with pytest.raises(InfiniteOrder, match="0 has no divisor"):
-        divisor_support(Q.zero())
 
 
 # ---------------------------------------------------------------------------

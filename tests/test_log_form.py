@@ -167,8 +167,8 @@ def test_hyperplane_pairing_matches_the_inline_sum(pair):
     y, x = pair
     rep = hyperplane_pairing(y, x)
     content, arch_term, residual = old_hyperplane(y, x)
-    assert rep.content() == content
-    assert list(rep.content()) == list(content)
+    assert rep.content == content
+    assert list(rep.content) == list(content)
     assert _same(rep.arch_log, arch_term) and _same(rep.residual, residual)
     assert rep.exact
 

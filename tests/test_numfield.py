@@ -195,7 +195,7 @@ def test_log_form_is_zero_is_exact():
     assert LogForm({2: Fraction(-1), 3: Fraction(1)}, Fraction(2, 3)).exact
     assert not LogForm({2: Fraction(1, 2)}).exact
     assert not LogForm({2: Fraction(-1)}, Fraction(3)).exact
-    assert LogForm({2: Fraction(-1)}, Fraction(3)).content() == {2: -1, 3: 1}
+    assert LogForm({2: Fraction(-1)}, Fraction(3)).content == {2: -1, 3: 1}
 
 
 def test_split_prime_whose_ords_cancel_keeps_both_key_sets():
@@ -319,6 +319,13 @@ def test_divisor_support_has_one_home():
     assert heights.divisor_support is numfield.divisor_support
 
 
+def test_divisor_support_signs():
+    by_prime = {v.prime: o for v, o in divisor_support(Q.element(Fraction(12, 5)))}
+    assert by_prime == {2: 2, 3: 1, 5: -1}
+    with pytest.raises(InfiniteOrder, match="0 has no divisor"):
+        divisor_support(Q.zero())
+
+
 def test_no_module_imports_sympy():
     import ast
     from pathlib import Path
@@ -431,7 +438,8 @@ def _uncalled_public_names(pkg, files):
                 parts = [(node, node.bases + node.keywords + node.decorator_list + rest)]
                 parts += [(m, [m]) for m in methods]
             for d, body in parts:
-                used |= names(body) - {d.name}  # a recursive call is not a caller
+                # a recursive call is not a caller, nor a class naming itself
+                used |= names(body) - {d.name, node.name}
                 if not d.name.startswith("_"):
                     defined.append((d.name, f"{path.name}:{d.lineno} {d.name}"))
     return sorted(where for name, where in defined if name not in used)
@@ -465,12 +473,14 @@ def test_caller_guard_flags_a_planted_dead_function(tmp_path):
         "    def __init__(self):\n        self.n = 0\n\n"
         "    def read(self):\n        return self.n\n\n"
         "    def unread(self):\n        return self.unread()\n\n"
-        "    @property\n    def shown(self):\n        return self.read()\n", encoding="utf-8")
+        "    @property\n    def shown(self):\n        return self.read()\n\n\n"
+        "class Dead:\n"
+        "    def __copy__(self):\n        return Dead()\n", encoding="utf-8")
     (tmp_path / "demo.py").write_text("from pkg.mod import Called\nCalled().shown\n",
                                       encoding="utf-8")
     files = [pkg / "mod.py", tmp_path / "demo.py"]
-    assert _uncalled_public_names(pkg, files) == ["mod.py:24 unread", "mod.py:5 dead",
-                                                  "mod.py:9 recursive"]
+    assert _uncalled_public_names(pkg, files) == ["mod.py:24 unread", "mod.py:32 Dead",
+                                                  "mod.py:5 dead", "mod.py:9 recursive"]
 
 
 # modules allowed to import each other at module level (``from .x import``
