@@ -7,10 +7,16 @@ exist and Frobenius is exactly invertible. On top of the series field: the
 Artin-Hasse exponential (Dwork's recurrence), the Lubin-Tate unit action on
 1 + m, Teichmueller lifts, and Witt vectors of length <= 3 via universal
 sum/product polynomials solved once over the integers by the ghost recursion.
+
+`evaluate_series` runs its power loop on a packed integer kernel: exponents
+are ints over one common denominator, and each F_{p^k} coefficient is one int
+of k W-bit slots, reduced once per output exponent.  W is chosen per call with
+2^W > max(|a|·k·(p−1)², (D+1)·(p−1)²), so no slot carries into the next.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
@@ -40,21 +46,25 @@ def _poly_trim(a):
     return a
 
 
+def _poly_reduce(out, f, p):
+    """Reduce the residue list out mod the monic f in place, cut to deg f entries."""
+    k = len(f) - 1
+    for i in range(len(out) - 1, k - 1, -1):
+        c = out[i]
+        if c:
+            for j in range(k):
+                out[i - k + j] = (out[i - k + j] - c * f[j]) % p
+    del out[k:]
+    return out
+
+
 def _poly_mulmod(a, b, f, p):
     out = [0] * (len(a) + len(b) - 1) if a and b else []
     for i, ai in enumerate(a):
         if ai:
             for j, bj in enumerate(b):
                 out[i + j] = (out[i + j] + ai * bj) % p
-    # reduce mod monic f
-    k = len(f) - 1
-    for i in range(len(out) - 1, k - 1, -1):
-        c = out[i]
-        if c:
-            out[i] = 0
-            for j in range(k):
-                out[i - k + j] = (out[i - k + j] - c * f[j]) % p
-    return _poly_trim(out)
+    return _poly_trim(_poly_reduce(out, f, p))
 
 
 def _poly_gcd(a, b, p):
@@ -405,29 +415,67 @@ def artin_hasse(p: int, max_degree: int, coeff_precision: int) -> ZpSeries:
 
 
 def evaluate_series(s: ZpSeries, a: HahnSeries) -> HahnSeries:
-    """sum (c_n mod p) a^n; needs valuation(a) > 0 for convergence of the truncation."""
+    """sum (c_n mod p) a^n below min(cap(a), (D+1)·valuation(a)), D = max_degree;
+    needs valuation(a) > 0 for convergence of the truncation.
+
+    The power loop runs on Python ints (Kronecker substitution; von zur Gathen
+    & Gerhard, Modern Computer Algebra, §8.4).  Each exponent is an int over L,
+    the lcm of the denominators of the cap and of a's exponents, and each
+    F_{p^k} coefficient is one int with its k residues in W-bit slots, so the
+    product of two coefficients is one int multiply.  a^(n-1)·a sums those
+    products per output exponent unreduced and reduces each sum once: every
+    slot mod p, then one fold by the monic modulus.  A slot of such a sum is at
+    most |a|·k·(p−1)², and a slot of the running sum of c_n·a^n at most
+    (D+1)·(p−1)², so no slot carries into the next when
+    2^W > max(|a|·k·(p−1)², (D+1)·(p−1)²); W is the least such width.
+    """
     if s.p != a.p:
         raise TiltError("series and argument primes differ")
-    fld = a.field
+    p, k = a.p, a.k
     if a.is_zero():
-        return hahn(a.p, {Fraction(0): s.coeffs[0]}, a.cap, a.k)
+        return hahn(p, {Fraction(0): s.coeffs[0]}, a.cap, k)
     va = a.valuation()
     if va <= 0:
         raise TiltError("evaluate_series needs valuation(a) > 0")
-    cap = min(a.cap, (s.max_degree + 1) * va)
-    # a^n has cap >= cap for every n, so one fold at cap drops exactly what
-    # folding after each term would
-    acc = {Fraction(0): s.coeffs[0]}
-    a_n = hahn_one(a.p, cap, a.k)
-    for n in range(1, s.max_degree + 1):
-        a_n = hahn_mul(a_n, a)
-        if a_n.is_zero():
+    D = s.max_degree
+    cap = min(a.cap, (D + 1) * va)
+    # every exponent of a^n is a multiple of 1/L; terms at or past the cap
+    # only feed terms past it, since every exponent of a is positive
+    L = math.lcm(cap.denominator, *(e.denominator for e, _ in a.terms))
+    top = cap.numerator * (L // cap.denominator)
+    W = (max(len(a.terms) * k, D + 1) * (p - 1) ** 2).bit_length()
+    mask = (1 << W) - 1
+    f = a.field.modulus
+    shifts = range(0, W * (2 * k - 1), W)
+
+    def pack(c):
+        return sum(x << w for x, w in zip(c, shifts))
+
+    base = [(e.numerator * (L // e.denominator), pack(c)) for e, c in a.terms]
+    base = [(e, c) for e, c in base if e < top]
+    acc = {0: s.coeffs[0] % p}  # packed, reduced only at the end
+    a_n = [(0, 1)]
+    for n in range(1, D + 1):
+        sums: dict = {}
+        for e1, x in a_n:
+            for e2, y in base:
+                e = e1 + e2
+                if e >= top:
+                    break
+                sums[e] = sums.get(e, 0) + x * y
+        a_n = []
+        for e, v in sums.items():
+            c = _poly_reduce([(v >> w & mask) % p for w in shifts], f, p)
+            if any(c):
+                a_n.append((e, pack(c)))
+        if not a_n:
             break
-        c = fld.from_int(s.coeffs[n])
-        if c != fld.zero:
-            for e, x in a_n.terms:
-                acc[e] = fld.add(acc.get(e, fld.zero), fld.mul(x, c))
-    return hahn(a.p, acc, cap, a.k)
+        c = s.coeffs[n] % p
+        if c:
+            for e, x in a_n:
+                acc[e] = acc.get(e, 0) + x * c
+    return hahn(p, {Fraction(e, L): tuple((v >> w & mask) % p for w in shifts[:k])
+                    for e, v in acc.items()}, cap, k)
 
 
 def lubin_tate_act(u, a: HahnSeries) -> HahnSeries:

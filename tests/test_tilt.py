@@ -4,11 +4,13 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from arithmeticoid.tilt import (
     DEFAULT_K,
     TiltError,
     WittExpansion,
+    ZpSeries,
     artin_hasse,
     coeff_field,
     evaluate_series,
@@ -81,6 +83,33 @@ def oracle_ghost(p, vec):
         sum(p ** i * vec[i] ** (p ** (n - i)) for i in range(n + 1))
         for n in range(len(vec))
     ]
+
+
+def evaluate_series_oracle(s, a):
+    """sum (c_n mod p) a^n by repeated hahn_mul on Fraction exponents and
+    coefficient tuples."""
+    if s.p != a.p:
+        raise TiltError("series and argument primes differ")
+    fld = a.field
+    if a.is_zero():
+        return hahn(a.p, {F(0): s.coeffs[0]}, a.cap, a.k)
+    va = a.valuation()
+    if va <= 0:
+        raise TiltError("evaluate_series needs valuation(a) > 0")
+    cap = min(a.cap, (s.max_degree + 1) * va)
+    # a^n has cap >= cap for every n, so one fold at cap drops exactly what
+    # folding after each term would
+    acc = {F(0): s.coeffs[0]}
+    a_n = hahn_one(a.p, cap, a.k)
+    for n in range(1, s.max_degree + 1):
+        a_n = hahn_mul(a_n, a)
+        if a_n.is_zero():
+            break
+        c = fld.from_int(s.coeffs[n])
+        if c != fld.zero:
+            for e, x in a_n.terms:
+                acc[e] = fld.add(acc.get(e, fld.zero), fld.mul(x, c))
+    return hahn(a.p, acc, cap, a.k)
 
 
 def eval_terms_int(terms, xs, ys):
@@ -281,6 +310,49 @@ def test_evaluate_radius_invariant_random():
         r = evaluate_series(ah, a)
         diff = hahn_add(r, -hahn_one(p, r.cap))
         assert diff.valuation() == a.valuation()
+
+
+@st.composite
+def series_and_argument(draw):
+    """A ZpSeries of degree D <= 60 and a series of 1-4 terms at positive
+    exponents over denominators <= 6, over F_{p^k}."""
+    p = draw(st.sampled_from([2, 3, 5, 7, 997]))
+    k = draw(st.sampled_from([1, 2, 3, 12]))
+    D = draw(st.integers(1, 60))
+    coeffs = draw(st.lists(st.integers(0, p - 1), min_size=D + 1, max_size=D + 1))
+    exponent = st.builds(F, st.integers(1, 24), st.integers(1, 6))
+    exps = draw(st.lists(exponent, min_size=1, max_size=4, unique=True))
+    terms = {e: tuple(draw(st.lists(st.integers(0, p - 1), min_size=k, max_size=k)))
+             for e in exps}
+    cap = draw(st.builds(F, st.integers(1, 48), st.integers(1, 6)))
+    return ZpSeries(p, 1, D, tuple(coeffs)), hahn(p, terms, cap, k)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(series_and_argument())
+def test_evaluate_matches_the_hahn_mul_oracle(args):
+    s, a = args
+    got, want = evaluate_series(s, a), evaluate_series_oracle(s, a)
+    assert got.terms == want.terms and got.cap == want.cap
+
+
+# Series with every coefficient p - 1, each of whose slots nears its bound.
+# Past p = 2^32 one product passes 2^64, so a fixed 64-bit slot would carry.
+# In a^2 at t^(11/4), four products fill the middle slot of 12 to
+# 4·12·(p-1)^2; at p = 5 the running sum reaches 264 of (D+1)·(p-1)^2 = 416.
+BIG_P = 4294967311  # the least prime past 2^32
+FULL_SLOTS = [(BIG_P, 1, 7, (F(1), F(3, 2), F(7, 3))),
+              (BIG_P, 2, 7, (F(1), F(3, 2), F(7, 3))),
+              (997, 12, 2, (F(1), F(5, 4), F(3, 2), F(7, 4))),
+              (5, 1, 25, (F(1), F(2), F(3), F(5)))]
+
+
+@pytest.mark.parametrize("p,k,D,exps", FULL_SLOTS)
+def test_evaluate_matches_the_oracle_where_a_slot_is_nearly_full(p, k, D, exps):
+    a = hahn(p, {e: (p - 1,) * k for e in exps}, k=k)
+    s = ZpSeries(p, 1, D, (p - 1,) * (D + 1))
+    got, want = evaluate_series(s, a), evaluate_series_oracle(s, a)
+    assert got.terms == want.terms and got.cap == want.cap
 
 
 def test_evaluate_rejects_nonpositive_valuation():
