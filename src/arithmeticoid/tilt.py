@@ -8,10 +8,11 @@ Artin-Hasse exponential (Dwork's recurrence), the Lubin-Tate unit action on
 1 + m, Teichmueller lifts, and Witt vectors of length <= 3 via universal
 sum/product polynomials solved once over the integers by the ghost recursion.
 
-`evaluate_series` runs its power loop on a packed integer kernel: exponents
-are ints over one common denominator, and each F_{p^k} coefficient is one int
-of k W-bit slots, reduced once per output exponent.  W is chosen per call with
-2^W > max(|a|·k·(p−1)², (D+1)·(p−1)²), so no slot carries into the next.
+`evaluate_series` and `hahn_inv` run on one packed integer kernel
+(`_packing`): exponents are ints over one common denominator, and each
+F_{p^k} coefficient is one int of k W-bit slots, reduced once per output
+exponent.  Each call chooses W from the largest sum a slot can hold, so no
+slot carries into the next.
 """
 
 from __future__ import annotations
@@ -322,31 +323,78 @@ def hahn_pow(x: HahnSeries, n: int) -> HahnSeries:
         base = hahn_mul(base, base)
 
 
+def _packing(fld: CoeffField, cap: Fraction, exponents, bound: int):
+    """The packed integer kernel of one series computation over F_{p^k}.
+
+    Kronecker substitution (von zur Gathen & Gerhard, Modern Computer Algebra,
+    §8.4): each exponent becomes an int over L, the lcm of the denominators of
+    cap and of exponents, and top = cap·L.  Each coefficient becomes one int
+    with its k residues in W-bit slots, W the least width with 2^W > bound, so
+    the product of two coefficients is one int multiply and a sum of products
+    carries from no slot into the next as long as no slot passes bound.
+    Returns (L, top, pack, reduce): pack maps residues to that int, and reduce
+    maps such a sum back to k residues, every slot mod p and then one fold by
+    the monic modulus.
+    """
+    p, f = fld.p, fld.modulus
+    L = math.lcm(cap.denominator, *(e.denominator for e in exponents))
+    top = cap.numerator * (L // cap.denominator)
+    W = bound.bit_length()
+    mask = (1 << W) - 1
+    shifts = range(0, W * (2 * fld.k - 1), W)
+
+    def pack(c):
+        return sum(x << w for x, w in zip(c, shifts))
+
+    def reduce(v):
+        return _poly_reduce([(v >> w & mask) % p for w in shifts], f, p)
+
+    return L, top, pack, reduce
+
+
 def hahn_inv(x: HahnSeries) -> HahnSeries:
-    """Geometric-series inverse off the leading term, truncated at the cap."""
+    """1/x below cap(x) − 2·valuation(x), by power-series division.
+
+    Write x = c·t^a·(1 + u) with val(u) > 0.  Then 1/x = c^{-1}·t^{-a}·Σ g_e t^e
+    with g_0 = 1 and g_e = −Σ_d u_d·g_{e−d} over u's exponents d (Knuth,
+    TAOCP vol. 2, §4.7).  The e below cap(x) − a are the sums of u's
+    exponents; each is visited once, in increasing order, so M of them cost
+    M·|u| packed products.  A slot of one such sum is at most |u|·k·(p−1)²,
+    and of the final product by c^{-1} at most k·(p−1)², so W is the least
+    width with 2^W > max(1, |u|)·k·(p−1)².
+    """
     if x.is_zero():
         raise ZeroDivisionError("inverse of the zero series")
+    p, k = x.p, x.k
     fld = x.field
     a, c = x.leading()
-    cinv = fld.inv(c)
-    # x = c t^a (1 + u), val(u) > 0
-    rel_cap = x.cap - a
-    u_terms = {e - a: fld.mul(cc, cinv) for e, cc in x.terms[1:]}
-    u = hahn(x.p, u_terms, rel_cap, x.k)
-    geo = hahn_one(x.p, rel_cap, x.k)
-    if not u.is_zero():
-        term = hahn_one(x.p, rel_cap, x.k)
-        step = hahn_neg(u)
-        vu = u.valuation()
-        n = 1
-        while n * vu < rel_cap:
-            term = hahn_mul(term, step)
-            if term.is_zero():
+    L, top, pack, reduce = _packing(fld, x.cap, [e for e, _ in x.terms],
+                                    max(1, len(x.terms) - 1) * k * (p - 1) ** 2)
+    lead = a.numerator * (L // a.denominator)
+    top -= lead
+    cinv = pack(fld.inv(c))
+    # −u, at exponents over L relative to the lead, increasing
+    step = [(e.numerator * (L // e.denominator) - lead, pack(reduce(pack(fld.neg(cc)) * cinv)))
+            for e, cc in x.terms[1:]]
+    exps = frontier = {0}
+    while frontier:
+        frontier = {e + d for e in frontier for d, _ in step if e + d < top} - exps
+        exps |= frontier
+    g = {0: 1}  # the nonzero g_e, packed and reduced
+    for e in sorted(exps)[1:]:
+        v = 0
+        for d, s in step:
+            if d > e:
                 break
-            geo = hahn_add(geo, term)
-            n += 1
-    out = {e - a: fld.mul(cc, cinv) for e, cc in geo.terms}
-    return hahn(x.p, out, x.cap - 2 * a, x.k)
+            prev = g.get(e - d)
+            if prev:
+                v += s * prev
+        r = reduce(v)
+        if any(r):
+            g[e] = pack(r)
+    # g and c^{-1} are nonzero, so every product is: no term drops out
+    return HahnSeries(p, k, tuple((Fraction(e - lead, L), tuple(reduce(v * cinv)))
+                                  for e, v in g.items()), x.cap - 2 * a)
 
 
 def frobenius(x: HahnSeries) -> HahnSeries:
@@ -418,16 +466,11 @@ def evaluate_series(s: ZpSeries, a: HahnSeries) -> HahnSeries:
     """sum (c_n mod p) a^n below min(cap(a), (D+1)·valuation(a)), D = max_degree;
     needs valuation(a) > 0 for convergence of the truncation.
 
-    The power loop runs on Python ints (Kronecker substitution; von zur Gathen
-    & Gerhard, Modern Computer Algebra, §8.4).  Each exponent is an int over L,
-    the lcm of the denominators of the cap and of a's exponents, and each
-    F_{p^k} coefficient is one int with its k residues in W-bit slots, so the
-    product of two coefficients is one int multiply.  a^(n-1)·a sums those
-    products per output exponent unreduced and reduces each sum once: every
-    slot mod p, then one fold by the monic modulus.  A slot of such a sum is at
-    most |a|·k·(p−1)², and a slot of the running sum of c_n·a^n at most
-    (D+1)·(p−1)², so no slot carries into the next when
-    2^W > max(|a|·k·(p−1)², (D+1)·(p−1)²); W is the least such width.
+    The power loop runs on the packed kernel of `_packing`.  a^(n-1)·a sums
+    the products per output exponent unreduced and reduces each sum once.  A
+    slot of such a sum is at most |a|·k·(p−1)², and a slot of the running sum
+    of c_n·a^n at most (D+1)·(p−1)², so W is the least width with
+    2^W > max(|a|·k·(p−1)², (D+1)·(p−1)²).
     """
     if s.p != a.p:
         raise TiltError("series and argument primes differ")
@@ -441,16 +484,8 @@ def evaluate_series(s: ZpSeries, a: HahnSeries) -> HahnSeries:
     cap = min(a.cap, (D + 1) * va)
     # every exponent of a^n is a multiple of 1/L; terms at or past the cap
     # only feed terms past it, since every exponent of a is positive
-    L = math.lcm(cap.denominator, *(e.denominator for e, _ in a.terms))
-    top = cap.numerator * (L // cap.denominator)
-    W = (max(len(a.terms) * k, D + 1) * (p - 1) ** 2).bit_length()
-    mask = (1 << W) - 1
-    f = a.field.modulus
-    shifts = range(0, W * (2 * k - 1), W)
-
-    def pack(c):
-        return sum(x << w for x, w in zip(c, shifts))
-
+    L, top, pack, reduce = _packing(a.field, cap, [e for e, _ in a.terms],
+                                    max(len(a.terms) * k, D + 1) * (p - 1) ** 2)
     base = [(e.numerator * (L // e.denominator), pack(c)) for e, c in a.terms]
     base = [(e, c) for e, c in base if e < top]
     acc = {0: s.coeffs[0] % p}  # packed, reduced only at the end
@@ -465,7 +500,7 @@ def evaluate_series(s: ZpSeries, a: HahnSeries) -> HahnSeries:
                 sums[e] = sums.get(e, 0) + x * y
         a_n = []
         for e, v in sums.items():
-            c = _poly_reduce([(v >> w & mask) % p for w in shifts], f, p)
+            c = reduce(v)
             if any(c):
                 a_n.append((e, pack(c)))
         if not a_n:
@@ -474,8 +509,7 @@ def evaluate_series(s: ZpSeries, a: HahnSeries) -> HahnSeries:
         if c:
             for e, x in a_n:
                 acc[e] = acc.get(e, 0) + x * c
-    return hahn(p, {Fraction(e, L): tuple((v >> w & mask) % p for w in shifts[:k])
-                    for e, v in acc.items()}, cap, k)
+    return hahn(p, {Fraction(e, L): tuple(reduce(v)) for e, v in acc.items()}, cap, k)
 
 
 def lubin_tate_act(u, a: HahnSeries) -> HahnSeries:

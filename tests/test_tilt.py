@@ -1,4 +1,5 @@
 import json
+import math
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -21,6 +22,7 @@ from arithmeticoid.tilt import (
     hahn_mul,
     hahn_neg,
     hahn_one,
+    hahn_pow,
     hahn_zero,
     inverse_frobenius,
     lubin_tate_act,
@@ -110,6 +112,34 @@ def evaluate_series_oracle(s, a):
             for e, x in a_n.terms:
                 acc[e] = fld.add(acc.get(e, fld.zero), fld.mul(x, c))
     return hahn(a.p, acc, cap, a.k)
+
+
+def hahn_inv_oracle(x):
+    """Geometric-series inverse off the leading term by repeated hahn_mul and
+    hahn_add, truncated at the cap."""
+    if x.is_zero():
+        raise ZeroDivisionError("inverse of the zero series")
+    fld = x.field
+    a, c = x.leading()
+    cinv = fld.inv(c)
+    # x = c t^a (1 + u), val(u) > 0
+    rel_cap = x.cap - a
+    u_terms = {e - a: fld.mul(cc, cinv) for e, cc in x.terms[1:]}
+    u = hahn(x.p, u_terms, rel_cap, x.k)
+    geo = hahn_one(x.p, rel_cap, x.k)
+    if not u.is_zero():
+        term = hahn_one(x.p, rel_cap, x.k)
+        step = hahn_neg(u)
+        vu = u.valuation()
+        n = 1
+        while n * vu < rel_cap:
+            term = hahn_mul(term, step)
+            if term.is_zero():
+                break
+            geo = hahn_add(geo, term)
+            n += 1
+    out = {e - a: fld.mul(cc, cinv) for e, cc in geo.terms}
+    return hahn(x.p, out, x.cap - 2 * a, x.k)
 
 
 def eval_terms_int(terms, xs, ys):
@@ -209,6 +239,18 @@ def test_inverse_random():
         prod = hahn_mul(x, hahn_inv(x))
         one = hahn_one(p, prod.cap)
         assert hahn_eq(prod, one)
+
+
+def test_negative_power_inverts_the_positive_power():
+    rng = random.Random(3)
+    for _ in range(12):
+        p = rng.choice([2, 3, 5, 7])
+        x = random_series(rng, p, k=rng.choice([1, 2, 3]), nterms=3, lo=F(-2))
+        if x.is_zero():
+            continue
+        for n in (1, 2, 3):
+            prod = hahn_mul(hahn_pow(x, -n), hahn_pow(x, n))
+            assert hahn_eq(prod, hahn_one(p, prod.cap, x.k))
 
 
 def test_cap_truncation_drops_terms():
@@ -352,6 +394,53 @@ def test_evaluate_matches_the_oracle_where_a_slot_is_nearly_full(p, k, D, exps):
     a = hahn(p, {e: (p - 1,) * k for e in exps}, k=k)
     s = ZpSeries(p, 1, D, (p - 1,) * (D + 1))
     got, want = evaluate_series(s, a), evaluate_series_oracle(s, a)
+    assert got.terms == want.terms and got.cap == want.cap
+
+
+@st.composite
+def invertible_series(draw):
+    """A series of 1-5 terms over F_{p^k}: exponents over denominators <= 6,
+    the leading one negative, zero or fractional, and a cap over a
+    denominator <= 6 at most 6 past the lead."""
+    p = draw(st.sampled_from([2, 3, 5, 7, 997]))
+    k = draw(st.sampled_from([1, 2, 3, 12]))
+    coeff = st.lists(st.integers(0, p - 1), min_size=k, max_size=k).map(tuple)
+    lead = draw(st.just(F(0)) | st.builds(F, st.integers(-12, 12), st.integers(1, 6)))
+    den = draw(st.integers(1, 6))
+    floor = lead.numerator * den // lead.denominator
+    cap = F(draw(st.integers(floor + 1, floor + 6 * den)), den)
+    span = cap - lead
+    offset = st.integers(1, 6).flatmap(
+        lambda d: st.builds(F, st.integers(1, max(1, math.ceil(span * d) - 1)), st.just(d)))
+    exps = draw(st.lists(offset.filter(lambda o: o < span).map(lambda o: lead + o),
+                         max_size=4, unique=True))
+    c = draw(coeff.filter(any))
+    return hahn(p, {lead: c, **{e: draw(coeff) for e in exps}}, cap, k)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(invertible_series())
+def test_inverse_matches_the_geometric_series_oracle(x):
+    got, want = hahn_inv(x), hahn_inv_oracle(x)
+    assert got.terms == want.terms and got.cap == want.cap
+
+
+# Series with every coefficient (p - 1, ..., p - 1).  Then every coefficient
+# of -u is -1, and at p = BIG_P one product (p-1)^2 passes 2^64, so a fixed
+# 64-bit slot carries; at k = 1 the first two fill |u|·k·(p-1)^2.  With a
+# lead of p - 1 as an int instead, -u is (p - 1, ..., p - 1) at t^(1/2), and
+# the middle slot of the sum for t^1, (-u)^2, reaches the bound k·(p-1)^2.
+@pytest.mark.parametrize("p,k", [(BIG_P, 1), (BIG_P, 2), (997, 12)])
+@pytest.mark.parametrize("exps,int_lead", [((F(0), F(1)), False),
+                                           ((F(-1, 2), F(1, 3), F(2)), False),
+                                           ((F(1), F(2), F(3), F(4), F(5)), False),
+                                           ((F(0), F(1, 2)), True)])
+def test_inverse_matches_the_oracle_where_a_slot_nears_its_bound(p, k, exps, int_lead):
+    terms = {e: (p - 1,) * k for e in exps}
+    if int_lead:
+        terms[exps[0]] = p - 1
+    x = hahn(p, terms, F(9), k)
+    got, want = hahn_inv(x), hahn_inv_oracle(x)
     assert got.terms == want.terms and got.cap == want.cap
 
 
