@@ -237,9 +237,9 @@ class NormalizationCoordinate:
 
 
 def normalization_coordinate(y: Arithmeticoid) -> NormalizationCoordinate:
-    """The canonical coordinates of y: a deviation whose Beltrami exponent is
-    standard (it differs only in its concrete Hahn layer) has alpha = p^-shift
-    and is left out of the overrides."""
+    """The canonical coordinates of y: the overrides hold the finite places
+    whose Beltrami exponent is not standard, and every other finite place has
+    alpha = p^-shift."""
     overrides = []
     arch = Fraction(1)
     for v, pt in y.deviations:

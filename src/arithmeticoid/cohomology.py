@@ -123,10 +123,6 @@ class KummerClass:
         if self.precision < 1:
             raise CohomologyError("precision must be >= 1")
 
-    @property
-    def prime(self) -> int:
-        return self.place.prime
-
     def is_unit_class(self) -> bool:
         return self.order_part == 0
 
@@ -173,9 +169,6 @@ class AdelicClass:
         for v, c in self.finite:
             if v.field != self.field or c.place != v:
                 raise CohomologyError("misplaced Kummer class")
-
-    def component(self, v: Place):
-        return dict(self.finite).get(v)
 
 
 def make_adelic_class(field: NumberField, classes: dict | None = None,

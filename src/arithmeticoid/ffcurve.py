@@ -1,11 +1,10 @@
 """Closed classical points of local curves of untilts, plus the archimedean curve.
 
-A non-archimedean point is the data |p|_{K_y} = p^(-e) for an exact rational
-Beltrami exponent e > 0, optionally backed by a concrete Hahn representative a
-with e = valuation(a). The archimedean curve is R^{>0}: the point s, an exact
-positive Fraction, stands for the untilt (C, |.|^s). Frobenius multiplies e by
-p resp. acts trivially at the archimedean place; both layers stay exactly
-consistent.
+A non-archimedean point is the untilt pinned down by |p|_{K_y} = p^(-e), for
+an exact rational Beltrami exponent e > 0: every height, distance and period
+reads e and nothing else. The archimedean curve is R^{>0}: the point s, an
+exact positive Fraction, stands for the untilt (C, |.|^s). Frobenius
+multiplies e by p resp. acts trivially at the archimedean place.
 
 Calibration: the standard point at a finite place v carries e = e_v * f_v (the
 local degree), so that the normalized value alpha_v * log|x|_{K_y} recovers the
@@ -18,12 +17,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING
 
 from .numfield import Place, _log_fraction
-
-if TYPE_CHECKING:  # tilt loads only where a concrete layer is moved
-    from .tilt import HahnSeries
 
 
 class CurveError(ValueError):
@@ -36,21 +31,12 @@ class LocalPointNonArch:
 
     place: Place
     e: Fraction  # |p|_{K_y} = p^(-e), e > 0
-    concrete: HahnSeries | None = None
 
     def __post_init__(self):
         if self.place.is_archimedean:
             raise CurveError("non-archimedean point needs a finite place")
         if self.e <= 0:
             raise CurveError(f"Beltrami exponent must be positive, got {self.e}")
-        if self.concrete is not None:
-            va = self.concrete.valuation()
-            if va is None or va <= 0:
-                raise CurveError("concrete representative needs positive valuation")
-            if va != self.e:
-                raise CurveError(
-                    f"calibration broken: valuation {va} != Beltrami exponent {self.e}"
-                )
 
 
 @dataclass(frozen=True)
@@ -98,17 +84,8 @@ def _digits(n: int) -> int:
 LocalPoint = LocalPointNonArch | LocalPointArch
 
 
-def local_point(place: Place, e=None, concrete: HahnSeries | None = None) -> LocalPointNonArch:
-    """Build a point from an exponent, a concrete representative, or both."""
-    if concrete is not None:
-        va = concrete.valuation()
-        if va is None or va <= 0:
-            raise CurveError("concrete representative needs positive valuation")
-        if e is not None and Fraction(e) != va:
-            raise CurveError("exponent disagrees with the concrete representative")
-        return LocalPointNonArch(place, va, concrete)
-    if e is None:
-        raise CurveError("need an exponent or a concrete representative")
+def local_point(place: Place, e) -> LocalPointNonArch:
+    """The point with Beltrami exponent e, held as an exact Fraction."""
     return LocalPointNonArch(place, Fraction(e))
 
 
@@ -120,17 +97,8 @@ def standard_point(v: Place) -> LocalPoint:
 
 
 def frobenius_point(y: LocalPointNonArch, m: int = 1) -> LocalPointNonArch:
-    """phi^m: e -> p^m e, so |p|_y = |p|_{phi y}^{1/p} exactly; concrete layer follows."""
-    p = y.place.prime
-    e = y.e * Fraction(p) ** m
-    concrete = y.concrete
-    if concrete is not None:
-        from .tilt import frobenius, inverse_frobenius
-
-        step = frobenius if m >= 0 else inverse_frobenius
-        for _ in range(abs(m)):
-            concrete = step(concrete)
-    return LocalPointNonArch(y.place, e, concrete)
+    """phi^m: e -> p^m e, so |p|_y = |p|_{phi y}^{1/p} exactly."""
+    return LocalPointNonArch(y.place, y.e * Fraction(y.place.prime) ** m)
 
 
 def arch_act(z_modulus: Fraction, y: LocalPointArch) -> LocalPointArch:

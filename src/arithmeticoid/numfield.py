@@ -353,9 +353,6 @@ class NumberField:
     def one(self) -> "FieldElement":
         return self.element(1)
 
-    def zero(self) -> "FieldElement":
-        return self.element(0)
-
     def omega(self) -> "FieldElement":
         if self.d is None:
             raise FieldError("Q has no quadratic generator")
@@ -389,11 +386,6 @@ class FieldElement:
             return self.a
         t, n = self.field.omega_trace, self.field.omega_norm
         return self.a * self.a + self.a * self.b * t + self.b * self.b * n
-
-    def trace(self) -> Fraction:
-        if self.field.d is None:
-            return self.a
-        return 2 * self.a + self.b * self.field.omega_trace
 
     def __add__(self, other: "FieldElement") -> "FieldElement":
         self._check(other)

@@ -116,11 +116,6 @@ class PadicScalar:
         d = self - other
         return d.is_zero() or d.val >= cap
 
-    def __str__(self):
-        if self.is_zero():
-            return f"O({self.p}^{self.val})"
-        return f"{self.p}^{self.val} * {self.unit} + O({self.p}^{self.abs_precision})"
-
 
 def _check(a: PadicScalar, b: PadicScalar):
     if a.p != b.p:

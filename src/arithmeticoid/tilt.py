@@ -2,11 +2,11 @@
 
 Elements are finite sorted exponent-to-coefficient maps below an exact rational
 precision cap. The coefficient field is F_{p^k} (default k = 12) realized as
-polynomial residues mod a deterministically chosen irreducible, so p-th roots
-exist and Frobenius is exactly invertible. On top of the series field: the
-Artin-Hasse exponential (Dwork's recurrence), the Lubin-Tate unit action on
-1 + m, Teichmueller lifts, and Witt vectors of length <= 3 via universal
-sum/product polynomials solved once over the integers by the ghost recursion.
+polynomial residues mod a deterministically chosen irreducible, so x -> x^p
+is a bijection of F_{p^k}. On top of the series field: the Artin-Hasse
+exponential (Dwork's recurrence), the Lubin-Tate unit action on 1 + m,
+Teichmueller lifts, and Witt vectors of length <= 3 via universal sum/product
+polynomials solved once over the integers by the ghost recursion.
 
 `evaluate_series` and `hahn_inv` run on one packed integer kernel
 (`_packing`): exponents are ints over one common denominator, and each
@@ -69,22 +69,28 @@ def _poly_mulmod(a, b, f, p):
 
 
 def _poly_gcd(a, b, p):
+    """(g, t): g = gcd(a, b) over F_p, monic unless b = 0, and t·b ≡ g (mod a)."""
     a, b = list(a), list(b)
+    s, t = [], [1]  # extended Euclid: s·b ≡ a and t·b ≡ b (mod the first a)
     while b:
-        # a mod b with b made monic
         inv = pow(b[-1], -1, p)
         b = [(c * inv) % p for c in b]
+        t = [(c * inv) % p for c in t]
         while len(a) >= len(b):
             c = a[-1]
             if c:
+                shift = len(a) - len(b)
                 for j in range(len(b)):
-                    a[len(a) - len(b) + j] = (a[len(a) - len(b) + j] - c * b[j]) % p
+                    a[shift + j] = (a[shift + j] - c * b[j]) % p
+                s += [0] * (shift + len(t) - len(s))
+                for j in range(len(t)):
+                    s[shift + j] = (s[shift + j] - c * t[j]) % p
             a.pop()
             _poly_trim(a)
             if not a:
                 break
-        a, b = b, a
-    return a
+        a, b, s, t = b, a, t, _poly_trim(s)
+    return a, s
 
 
 def _is_irreducible(f, p):
@@ -100,7 +106,7 @@ def _is_irreducible(f, p):
         while len(diff) < 2:
             diff.append(0)
         diff[1] = (diff[1] - 1) % p
-        g = _poly_gcd(f, _poly_trim(diff), p)
+        g, _ = _poly_gcd(f, _poly_trim(diff), p)
         if len(g) - 1 > 0:
             return False
     return True
@@ -159,19 +165,15 @@ class CoeffField:
         return self._pad(_poly_mulmod(_poly_trim(list(a)), _poly_trim(list(b)), self.modulus, self.p))
 
     def pow(self, a, e: int):
-        if e < 0:
-            return self.pow(self.inv(a), -e)
         mulmod = partial(_poly_mulmod, f=self.modulus, p=self.p)
         return self._pad(power(_poly_trim(list(a)), e, mulmod, [1]))
 
     def inv(self, a):
         if a == self.zero:
             raise ZeroDivisionError("inverse of 0 in F_{p^k}")
-        return self.pow(a, self.p ** self.k - 2)
-
-    def pth_root(self, a):
-        # x -> x^p is bijective; the inverse is x -> x^(p^(k-1))
-        return self.pow(a, self.p ** (self.k - 1))
+        # the modulus is irreducible, so gcd(modulus, a) = 1 = t·a mod modulus
+        _, t = _poly_gcd(self.modulus, _poly_trim(list(a)), self.p)
+        return self._pad(t)
 
 
 # ---------------------------------------------------------------------------
@@ -201,34 +203,6 @@ class HahnSeries:
         if not self.terms:
             raise TiltError("zero series has no leading term")
         return self.terms[0]
-
-    def coefficient(self, e) -> tuple:
-        e = Fraction(e)
-        for a, c in self.terms:
-            if a == e:
-                return c
-        return self.field.zero
-
-    def __add__(self, other):
-        return hahn_add(self, other)
-
-    def __sub__(self, other):
-        return hahn_add(self, hahn_neg(other))
-
-    def __mul__(self, other):
-        return hahn_mul(self, other)
-
-    def __neg__(self):
-        return hahn_neg(self)
-
-    def __str__(self):
-        if not self.terms:
-            return f"O(t^{self.cap})"
-        bits = []
-        for a, c in self.terms:
-            cs = str(list(c)) if any(x for x in c[1:]) else str(c[0])
-            bits.append(f"{cs}*t^({a})")
-        return " + ".join(bits) + f" + O(t^{self.cap})"
 
 
 def _check_compatible(x: HahnSeries, y: HahnSeries):
@@ -282,8 +256,6 @@ def hahn_scale(x: HahnSeries, c) -> HahnSeries:
     fld = x.field
     if isinstance(c, int):
         c = fld.from_int(c)
-    if c == fld.zero:
-        return hahn_zero(x.p, x.cap, x.k)
     return hahn(x.p, {e: fld.mul(a, c) for e, a in x.terms}, x.cap, x.k)
 
 
@@ -403,15 +375,6 @@ def frobenius(x: HahnSeries) -> HahnSeries:
         x.p, x.k,
         tuple((e * x.p, fld.pow(c, x.p)) for e, c in x.terms),
         x.cap * x.p,
-    )
-
-
-def inverse_frobenius(x: HahnSeries) -> HahnSeries:
-    fld = x.field
-    return HahnSeries(
-        x.p, x.k,
-        tuple((e / x.p, fld.pth_root(c)) for e, c in x.terms),
-        x.cap / x.p,
     )
 
 
@@ -651,13 +614,11 @@ def _eval_witt_poly(terms, xs, ys, p, k, cap):
         c = coeff % p
         if not c:
             continue
-        term = None
+        term = None  # S_n and P_n have no constant monomial
         for i, e in enumerate(exps):
             if e:
                 factor = var_pow(i, e)
                 term = factor if term is None else hahn_mul(term, factor)
-        if term is None:
-            term = hahn_one(p, cap, k)
         acc = hahn_add(acc, hahn_scale(term, c))
     return hahn(p, dict(acc.terms), cap, k)
 

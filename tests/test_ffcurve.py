@@ -16,7 +16,6 @@ from arithmeticoid.ffcurve import (
     standard_point,
 )
 from arithmeticoid.numfield import NumberField, archimedean_place, places_over
-from arithmeticoid.tilt import hahn_one, hahn_zero, lubin_tate_act, monomial
 
 F = Fraction
 Q = NumberField()
@@ -49,15 +48,6 @@ def test_frobenius_relation_exact_all_small_primes():
             fy = frobenius_point(y, m)
             # |p|_y = |p|_{phi y}^{1/p} termwise on exponents: e_{m+1} = p * e_m
             assert frobenius_point(fy, 1).e == int(p) * fy.e
-
-
-def test_frobenius_concrete_layer_consistent():
-    a = monomial(3, F(1, 2), cap=F(8))
-    y = local_point(v_of(Q, 3), concrete=a)
-    fy = frobenius_point(y, 2)
-    assert fy.e == F(9, 2)
-    assert fy.concrete.valuation() == F(9, 2)
-    assert frobenius_point(fy, -2).concrete.valuation() == F(1, 2)
 
 
 # ---------------------------------------------------------------- standard points
@@ -120,25 +110,16 @@ def test_point_validation():
         LocalPointNonArch(v_of(Q, 5), F(-1))
     with pytest.raises(CurveError):
         LocalPointNonArch(archimedean_place(Q), F(1))
-    with pytest.raises(CurveError):
-        local_point(v_of(Q, 5), e=2, concrete=monomial(5, F(1)))
 
 
-def test_local_point_reads_its_exponent_off_the_representative():
-    rng = random.Random(24)
-    for _ in range(30):
-        p = rng.choice([2, 3, 5])
-        v = v_of(Q, p)
-        e = F(rng.randint(1, 6), rng.randint(1, 3))
-        a = monomial(p, e, cap=F(12))
-        assert local_point(v, concrete=a) == local_point(v, e=e, concrete=a)
-        assert local_point(v, concrete=a).e == e == local_point(v, e=e).e
+def test_local_point_holds_an_exact_exponent():
     v = v_of(Q, 3)
-    for bad in (hahn_zero(3), hahn_one(3)):
+    assert local_point(v, e=2) == LocalPointNonArch(v, F(2))
+    assert type(local_point(v, e=2).e) is Fraction
+    assert local_point(v, e=F(3, 2)).e == F(3, 2)
+    for bad in (0, F(-1, 2)):
         with pytest.raises(CurveError):
-            local_point(v, concrete=bad)
-    with pytest.raises(CurveError):
-        local_point(v)
+            local_point(v, e=bad)
 
 
 # ---------------------------------------------------------------- metric
@@ -167,19 +148,3 @@ def test_local_distance_place_mismatch():
         local_distance(standard_point(v_of(Q, 3)), standard_point(v_of(Q, 5)))
     with pytest.raises(CurveError):
         local_distance(standard_point(v_of(Q, 3)), LocalPointArch(1.0))
-
-
-# ---------------------------------------------------------------- point classes
-
-def test_unit_action_preserves_beltrami():
-    rng = random.Random(22)
-    for _ in range(40):
-        p = rng.choice([2, 3, 5])
-        a = monomial(p, F(rng.randint(1, 6), rng.randint(1, 3)), cap=F(12))
-        u = rng.randint(1, 50)
-        if u % p == 0:
-            u += 1
-        b = lubin_tate_act(u, a)
-        ya = local_point(v_of(Q, p), concrete=a)
-        yb = local_point(v_of(Q, p), concrete=b)
-        assert ya.e == yb.e  # distinct representatives, equal exponents
