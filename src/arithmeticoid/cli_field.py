@@ -119,20 +119,17 @@ def cmd_orbit(cfg: Config, args) -> CliResult:
                 "(2*bound+1)^degree * denominator_bound stabilizer checks",
                 (2 * args.bound + 1) * len(b_range) * args.denominator_bound, ORBIT_WORK)
     y = adelic.standard_arithmeticoid(cfg.field)
-    found = {}
+    found = set()
     for den in range(1, args.denominator_bound + 1):
         for a in range(-args.bound, args.bound + 1):
             for b in b_range:
                 if a == 0 and b == 0:
                     continue
                 x = cfg.field.element(Fraction(a, den), Fraction(b, den))
-                if (x.a, x.b) in found:
-                    continue
-                if adelic.stabilizer_check(x, y):
-                    found[(x.a, x.b)] = x
-    stabilizers = [found[k] for k in sorted(found)]
-    torsion = {(x.a, x.b) for x in numfield.roots_of_unity(cfg.field)}
-    ok = set(found) == torsion
+                if x not in found and adelic.stabilizer_check(x, y):
+                    found.add(x)
+    stabilizers = sorted(found, key=lambda x: (x.a, x.b))
+    ok = found == set(numfield.roots_of_unity(cfg.field))
     doc = {
         "field": str(cfg.field),
         "bound": args.bound,

@@ -15,7 +15,6 @@ archimedean Ext group, treated as a bare element of C*.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .numfield import (
     FieldElement,
@@ -53,17 +52,6 @@ class CohomologyError(ValueError):
 # ---------------------------------------------------------------------------
 # residue arithmetic mod p^N in the ring of integers
 
-def _frac_val(q: Fraction, p: int) -> int:
-    return _int_valuation(q.numerator, p) - _int_valuation(q.denominator, p)
-
-
-def _frac_mod(q: Fraction, p: int, mod: int) -> int:
-    """q reduced in Z/p^N; q must be p-integral."""
-    if q.denominator % p == 0:
-        raise CohomologyError("residue of a non-integral element")
-    return q.numerator * pow(q.denominator, -1, mod) % mod
-
-
 def _res_mul(x, y, trace: int, norm: int, mod: int):
     a, b = x
     c, d = y
@@ -77,31 +65,32 @@ def uniformizer(v: Place) -> FieldElement:
         raise CohomologyError("no uniformizer at the archimedean place")
     field = v.field
     if v.e == 1:
-        return field.element(Fraction(v.prime))
+        return field.element(v.prime)
     d = field.d
     if v.prime == 2:
         if d % 4 == 1:
-            return field.element(Fraction(1), Fraction(1))   # 1 + omega
-        return field.omega()                                 # d even
+            return field.element(1, 1)  # 1 + omega
+        return field.omega()            # d even
     if d % 4 == 3:
-        return field.element(Fraction(-1), Fraction(2))      # sqrt(-d)
+        return field.element(-1, 2)     # sqrt(-d)
     return field.omega()
 
 
 def _unit_residue(u: FieldElement, v: Place, exponent: int):
-    """Residue pair of a v-unit in (O / p^exponent), embedded at split places."""
+    """Residue pair of a v-unit in (O / p^exponent), embedded at split places:
+    (A + B*omega)/D with p^ord_p(D) divided out of the numerator and D."""
     p = v.prime
     mod = p ** exponent
-    field = u.field
-    if field.d is None:
-        return (_frac_mod(u.a, p, mod), 0), mod
-    if v.e == 1 and v.f == 1:
+    A, B, D = u.A, u.B, u.D
+    k = _int_valuation(D, p)
+    if u.field.d is not None and v.e == 1 and v.f == 1:
         # split: push through the completion picked by the conjugate index
-        slack = 2 + max(0, -(_frac_val(u.a, p) if u.a else 0),
-                        -(_frac_val(u.b, p) if u.b else 0))
-        root = _hensel_root(field, p, v.conjugate_index, exponent + slack)
-        return (_frac_mod(u.a + u.b * root, p, mod), 0), mod
-    return (_frac_mod(u.a, p, mod), _frac_mod(u.b, p, mod)), mod
+        A, B = A + B * _hensel_root(u.field, p, v.conjugate_index, exponent + k + 2), 0
+    q = p ** k
+    if A % q or B % q:
+        raise CohomologyError("residue of a non-integral element")
+    inv = pow(D // q, -1, mod)
+    return (A // q * inv % mod, B // q * inv % mod), mod
 
 
 # ---------------------------------------------------------------------------

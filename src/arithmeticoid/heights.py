@@ -189,9 +189,10 @@ def stabilized_height_report(y: Arithmeticoid, z: FieldElement, sample):
     Closed form, no orbit is built: a.y scores fin + s_a * L, with fin (the
     finite sum, f_v * max(0, -ord_v z) at every carrier) and L (log_abs) read
     off the one report scalar_height(y, z), and s_a the float of the exact
-    scale |N(a)| * s that `lstar_act` gives a.y: one correctly rounded int
-    division, as `float` of that Fraction is.  These are the floats, added in
-    the order, that scalar_height(lstar_act(a, y), z).total adds.  A witness
+    scale |N(a)| * s that `lstar_act` gives a.y: one correctly rounded
+    division of ints, as `float` of that Fraction is, so the norm's unreduced
+    numerator and denominator give the same float.  These are the floats,
+    added in the order, that scalar_height(lstar_act(a, y), z).total adds.  A witness
     must beat the best value strictly, so ties go to the first element in
     sample order and trivial actors, which score the base, never win.  An
     element that moves s out of the float range raises CurveError, as
@@ -208,8 +209,8 @@ def stabilized_height_report(y: Arithmeticoid, z: FieldElement, sample):
             raise HeightError("sample elements must be nonzero")
         if a.field != y.field:
             raise AdelicError("element and arithmeticoid fields differ")
-        n = abs(a.norm())
-        t = fin + arch_float(n.numerator * sn, n.denominator * sd) * log_abs
+        n, dn = a.norm_ints()
+        t = fin + arch_float(abs(n) * sn, dn * sd) * log_abs
         if t > best:
             best, witness = t, a
     return best, witness

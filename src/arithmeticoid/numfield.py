@@ -6,9 +6,12 @@ segmented sieve `primerange`, `isprime`, Tonelli-Shanks `sqrt_mod`, and
 `factorint` under a Pollard-Brent step budget) live here, on Python ints
 alone; other modules import them from here.
 
-Supported base fields are Q and Q(sqrt(-d)) for squarefree d > 0. Elements are
-exact rational coordinates in the integral basis (1, omega), where
-omega = (1 + sqrt(-d))/2 when d = 3 (mod 4) and omega = sqrt(-d) otherwise.
+Supported base fields are Q and Q(sqrt(-d)) for squarefree d > 0. An element
+is (A + B*omega)/D in the integral basis (1, omega), where
+omega = (1 + sqrt(-d))/2 when d = 3 (mod 4) and omega = sqrt(-d) otherwise,
+stored as three ints over one denominator D > 0 with gcd(A, B, D) = 1: field
+arithmetic, norms and valuations run on ints, and the Fraction coordinates
+a = A/D and b = B/D are built only when read.
 A sum of log-absolute values is a `LogForm`: exact Fraction coefficients of
 log p plus the log of a rational modulus (|N x| for principal data), so
 whether it vanishes is decided exactly and floats appear only in display.
@@ -294,7 +297,7 @@ def _squarefree(n: int) -> bool:
 
 
 _FIELD_RE = re.compile(r"^Q(?:\(sqrt\((-\d+)\)\))?$")
-_ZERO = Fraction(0)  # the omega coordinate of an element built with b = 0; a form's zero
+_ZERO = Fraction(0)  # a form's zero coefficient
 
 
 @dataclass(frozen=True)
@@ -345,10 +348,20 @@ class NumberField:
         return cls(-int(m.group(1)))
 
     def element(self, a, b=0) -> "FieldElement":
-        """a + b*omega; a Fraction coordinate is kept as given, not copied."""
-        a = a if type(a) is Fraction else Fraction(a)
-        b = _ZERO if b == 0 else b if type(b) is Fraction else Fraction(b)
-        return FieldElement(self, a, b)
+        """a + b*omega for int or Fraction coordinates a and b; anything else,
+        a float included, raises FieldError, since a float's binary value is not
+        the number it prints.  With b = 0 no gcd is taken: a's denominator is D."""
+        for c in (a, b):
+            if not isinstance(c, (int, Fraction)):
+                raise FieldError(f"an element coordinate must be an int or a Fraction, got {c!r}")
+        if not b:
+            return FieldElement(self, a.numerator, 0, a.denominator)
+        if self.d is None:
+            raise FieldError("Q element with nonzero omega coordinate")
+        # over the lcm of the denominators, A, B and D share no prime
+        da, db = a.denominator, b.denominator
+        D = math.lcm(da, db)
+        return FieldElement(self, a.numerator * (D // da), b.numerator * (D // db), D)
 
     def one(self) -> "FieldElement":
         return self.element(1)
@@ -364,56 +377,72 @@ class NumberField:
 
 @dataclass(frozen=True, slots=True)
 class FieldElement:
-    """a + b*omega with exact Fraction coordinates; b = 0 over Q."""
+    """(A + B*omega)/D for ints A, B, D with D > 0 and gcd(A, B, D) = 1, so
+    each element has one form and equality and hashing compare ints; B = 0
+    over Q.  Build elements with NumberField.element; `a` and `b` are the
+    coordinates as Fractions (Cohen, GTM 138, sec. 4.2)."""
 
     field: NumberField
-    a: Fraction
-    b: Fraction
+    A: int
+    B: int
+    D: int
 
-    def __post_init__(self):
-        if self.field.d is None and self.b != 0:
-            raise FieldError("Q element with nonzero omega coordinate")
+    @property
+    def a(self) -> Fraction:
+        return Fraction(self.A, self.D)
+
+    @property
+    def b(self) -> Fraction:
+        return Fraction(self.B, self.D)
 
     def is_zero(self) -> bool:
-        return self.a == 0 and self.b == 0
+        return not (self.A or self.B)
 
     def conjugate(self) -> "FieldElement":
-        # omega-bar = trace(omega) - omega
-        return FieldElement(self.field, self.a + self.b * self.field.omega_trace, -self.b)
+        # omega-bar = trace(omega) - omega; gcd(A + t*B, B, D) = gcd(A, B, D) = 1
+        return FieldElement(self.field, self.A + self.B * self.field.omega_trace, -self.B, self.D)
+
+    def norm_ints(self) -> tuple[int, int]:
+        """N(A + B*omega) and D^degree: the numerator and denominator of the
+        norm, not reduced; for (1 + i)/2 they are 2 and 4."""
+        A, B, field = self.A, self.B, self.field
+        if field.d is None:
+            return A, self.D
+        return A * A + A * B * field.omega_trace + B * B * field.omega_norm, self.D * self.D
 
     def norm(self) -> Fraction:
-        if self.field.d is None:
-            return self.a
-        t, n = self.field.omega_trace, self.field.omega_norm
-        return self.a * self.a + self.a * self.b * t + self.b * self.b * n
+        return Fraction(*self.norm_ints())
 
     def __add__(self, other: "FieldElement") -> "FieldElement":
         self._check(other)
-        return FieldElement(self.field, self.a + other.a, self.b + other.b)
+        D, F = self.D, other.D
+        return _reduced(self.field, self.A * F + other.A * D, self.B * F + other.B * D, D * F)
 
     def __sub__(self, other: "FieldElement") -> "FieldElement":
         self._check(other)
-        return FieldElement(self.field, self.a - other.a, self.b - other.b)
+        D, F = self.D, other.D
+        return _reduced(self.field, self.A * F - other.A * D, self.B * F - other.B * D, D * F)
 
     def __neg__(self) -> "FieldElement":
-        return FieldElement(self.field, -self.a, -self.b)
+        return FieldElement(self.field, -self.A, -self.B, self.D)
 
     def __mul__(self, other: "FieldElement") -> "FieldElement":
         self._check(other)
-        t, n = self.field.omega_trace, self.field.omega_norm
+        field = self.field
+        A, B, C, E = self.A, self.B, other.A, other.B
         # omega^2 = t*omega - n
-        a = self.a * other.a - self.b * other.b * n
-        b = self.a * other.b + self.b * other.a + self.b * other.b * t
-        return FieldElement(self.field, a, b)
+        BE = B * E
+        return _reduced(field, A * C - BE * field.omega_norm,
+                        A * E + B * C + BE * field.omega_trace, self.D * other.D)
 
     def inverse(self) -> "FieldElement":
         if self.is_zero():
             raise ZeroDivisionError("inverse of 0")
         if self.field.d is None:
-            return FieldElement(self.field, 1 / self.a, _ZERO)
-        nrm = self.norm()
+            return _reduced(self.field, self.D, 0, self.A)
+        # 1/x = D * conj(A + B*omega) / N(A + B*omega)
         c = self.conjugate()
-        return FieldElement(self.field, c.a / nrm, c.b / nrm)
+        return _reduced(self.field, c.A * self.D, c.B * self.D, self.norm_ints()[0])
 
     def __truediv__(self, other: "FieldElement") -> "FieldElement":
         return self * other.inverse()
@@ -428,16 +457,27 @@ class FieldElement:
             raise FieldError("mixed-field arithmetic")
 
     def __str__(self) -> str:
-        if self.field.d is None or self.b == 0:
-            return str(self.a)
-        sign, mag = ("+", self.b) if self.b > 0 else ("-", -self.b)
+        a = self.a
+        if self.B == 0:
+            return str(a)
+        sign, mag = ("+", self.b) if self.B > 0 else ("-", -self.b)
         w = "w" if mag == 1 else f"{mag}*w"
-        if self.a == 0:
+        if self.A == 0:
             return w if sign == "+" else f"-{w}"
-        return f"{self.a}{sign}{w}"
+        return f"{a}{sign}{w}"
 
 
-@dataclass(frozen=True)
+def _reduced(field: NumberField, A: int, B: int, D: int) -> FieldElement:
+    """(A + B*omega)/D for D != 0, with gcd(A, B, D) divided out and D made positive."""
+    g = math.gcd(A, B, D)
+    if D < 0:
+        g = -g
+    if g != 1:
+        A, B, D = A // g, B // g, D // g
+    return FieldElement(field, A, B, D)
+
+
+@dataclass(frozen=True, slots=True)
 class Place:
     """A place of the field: prime is None at the archimedean place.
 
@@ -572,7 +612,9 @@ def place_index(v: Place) -> int:
     return n + 1
 
 
-@lru_cache(maxsize=None)
+# bounded: the large primes of factored norms rarely recur, and an unbounded
+# cache kept every one of them for the life of the process
+@lru_cache(maxsize=256)
 def _split_roots(field: NumberField, p: int) -> tuple[int, int]:
     """The two roots of the minimal polynomial of omega mod p, ascending."""
     t, n = field.omega_trace, field.omega_norm
@@ -617,10 +659,8 @@ def ord(x: FieldElement, v: Place) -> int:
     if x.is_zero():
         raise InfiniteOrder("0 has infinite order at every place")
     p = v.prime
-    den = math.lcm(x.a.denominator, x.b.denominator)
-    u = int(x.a * den)
-    w = int(x.b * den)
-    shift = -v.e * _int_valuation(den, p)
+    u, w = x.A, x.B
+    shift = -v.e * _int_valuation(x.D, p)
     if x.field.d is None:
         return shift + _int_valuation(u, p)
     kind = splitting_type(x.field, p)
@@ -630,7 +670,7 @@ def ord(x: FieldElement, v: Place) -> int:
         if w == 0:
             return shift + _int_valuation(u, p)
         return shift + min(_int_valuation(u, p), _int_valuation(w, p))
-    norm_val = _int_valuation(int(FieldElement(x.field, Fraction(u), Fraction(w)).norm()), p)
+    norm_val = _int_valuation(x.norm_ints()[0], p)
     if kind == "ramified":
         return shift + norm_val
     # split: evaluate u + w*r at the Hensel root for this conjugate index
@@ -724,12 +764,11 @@ def prime_exponents(q: Fraction) -> dict[int, Fraction]:
 
 
 def _norm_valuations(x: FieldElement) -> dict[int, int]:
-    """prime -> ord_p |N(x)|, ascending, at the primes of N(D x) and of D, for D
-    the common denominator of the coordinates (N(D x) = D^deg N(x)): every prime
-    where an ord_v(x) can be nonzero, one whose ords cancel mapping to 0."""
-    den = math.lcm(x.a.denominator, x.b.denominator)
-    out = factorint(int(abs(FieldElement(x.field, x.a * den, x.b * den).norm())))
-    for p, m in factorint(den).items():
+    """prime -> ord_p |N(x)|, ascending, at the primes of N(D x) and of D, for
+    x = (A + B*omega)/D (N(D x) = D^deg N(x)): every prime where an ord_v(x)
+    can be nonzero, one whose ords cancel mapping to 0."""
+    out = factorint(abs(x.norm_ints()[0]))
+    for p, m in factorint(x.D).items():
         out[p] = out.get(p, 0) - x.field.degree * m
     return dict(sorted(out.items()))
 

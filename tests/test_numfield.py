@@ -1,8 +1,10 @@
 import math
 import random
+import re
 import subprocess
 import sys
 import time
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
@@ -56,9 +58,110 @@ def random_element(rng, field, span=30):
     while True:
         a = Fraction(rng.randint(-span, span), rng.randint(1, span))
         b = Fraction(rng.randint(-span, span), rng.randint(1, span)) if field.d else Fraction(0)
-        x = FieldElement(field, a, b)
+        x = field.element(a, b)
         if not x.is_zero():
             return x
+
+
+@dataclass(frozen=True)
+class FractionElement:
+    """The former FieldElement: a + b*omega with Fraction coordinates, each
+    operation written on the coordinates; b = 0 over Q."""
+
+    field: NumberField
+    a: Fraction
+    b: Fraction
+
+    def is_zero(self):
+        return self.a == 0 and self.b == 0
+
+    def conjugate(self):
+        # omega-bar = trace(omega) - omega
+        return FractionElement(self.field, self.a + self.b * self.field.omega_trace, -self.b)
+
+    def norm(self):
+        if self.field.d is None:
+            return self.a
+        t, n = self.field.omega_trace, self.field.omega_norm
+        return self.a * self.a + self.a * self.b * t + self.b * self.b * n
+
+    def __add__(self, other):
+        return FractionElement(self.field, self.a + other.a, self.b + other.b)
+
+    def __sub__(self, other):
+        return FractionElement(self.field, self.a - other.a, self.b - other.b)
+
+    def __mul__(self, other):
+        t, n = self.field.omega_trace, self.field.omega_norm
+        # omega^2 = t*omega - n
+        a = self.a * other.a - self.b * other.b * n
+        b = self.a * other.b + self.b * other.a + self.b * other.b * t
+        return FractionElement(self.field, a, b)
+
+    def inverse(self):
+        if self.is_zero():
+            raise ZeroDivisionError("inverse of 0")
+        if self.field.d is None:
+            return FractionElement(self.field, 1 / self.a, Fraction(0))
+        nrm = self.norm()
+        c = self.conjugate()
+        return FractionElement(self.field, c.a / nrm, c.b / nrm)
+
+    def __truediv__(self, other):
+        return self * other.inverse()
+
+    def __pow__(self, k):
+        x = self.inverse() if k < 0 else self
+        out = FractionElement(self.field, Fraction(1), Fraction(0))
+        for _ in range(abs(k)):
+            out = out * x
+        return out
+
+    def __str__(self):
+        if self.field.d is None or self.b == 0:
+            return str(self.a)
+        sign, mag = ("+", self.b) if self.b > 0 else ("-", -self.b)
+        w = "w" if mag == 1 else f"{mag}*w"
+        if self.a == 0:
+            return w if sign == "+" else f"-{w}"
+        return f"{self.a}{sign}{w}"
+
+
+def _frac_valuation(q, p):
+    num, den, v = q.numerator, q.denominator, 0
+    while num % p == 0:
+        num //= p
+        v += 1
+    while den % p == 0:
+        den //= p
+        v -= 1
+    return v
+
+
+def _digit_lifted_root(field, p, index, k):
+    """The index-th smallest root of omega's polynomial mod p, lifted to p^k
+    one base-p digit at a time by search."""
+    t, n = field.omega_trace, field.omega_norm
+    r = [r for r in range(p) if (r * r - t * r + n) % p == 0][index]
+    for j in range(1, k):
+        r = next(c for c in range(r, p ** (j + 1), p ** j)
+                 if (c * c - t * c + n) % p ** (j + 1) == 0)
+    return r
+
+
+def oracle_ord(x: FractionElement, v) -> int:
+    """ord_v from the Fraction coordinates: the p-adic valuation of a over Q, of
+    the norm at the place alone over an inert or ramified p, and at a split
+    place of a + b*r for r that place's root of omega's polynomial mod p^40."""
+    p = v.prime
+    if x.field.d is None:
+        return _frac_valuation(x.a, p)
+    kind = oracle_splitting(x.field, p)
+    if kind == "inert":
+        return _frac_valuation(x.norm(), p) // 2
+    if kind == "ramified":
+        return _frac_valuation(x.norm(), p)
+    return _frac_valuation(x.a + x.b * _digit_lifted_root(x.field, p, v.conjugate_index, 40), p)
 
 
 # ---------------------------------------------------------------- parsing
@@ -737,3 +840,98 @@ def test_split_roots_at_a_large_prime():
     assert splitting_type(QI, p) == "split"
     r0, r1 = numfield._split_roots(QI, p)
     assert r0 < r1 and (r0 * r0 + 1) % p == 0 and (r1 * r1 + 1) % p == 0
+
+
+# ---------------------------------------------------------------- integer elements vs the Fraction oracle
+
+ORACLE_FIELDS = (Q, QI, Q3, NumberField(5), NumberField(7))
+# over 2, 3, 5 and 7 these fields give every kind: Q(i) ramifies 2, splits 5 and
+# keeps 3 and 7 inert; Q(sqrt(-3)) ramifies 3 and splits 7; Q(sqrt(-5)) ramifies
+# 2 and 5 and splits 3 and 7; Q(sqrt(-7)) splits 2 and ramifies 7
+SMALL_PLACES = {field: [v for p in (2, 3, 5, 7) for v in places_over(field, p)]
+                for field in ORACLE_FIELDS}
+_coordinate = st.one_of(st.integers(-40, 40),
+                        st.builds(Fraction, st.integers(-60, 60), st.integers(1, 60)))
+
+
+def _canonical(x):
+    assert x.D > 0 and math.gcd(x.A, x.B, x.D) == 1, repr(x)
+    assert x.field.d is not None or x.B == 0, repr(x)
+    return x
+
+
+def _agrees(x, old):
+    """x is canonical and has the oracle element's coordinates and string."""
+    _canonical(x)
+    assert (x.a, x.b) == (old.a, old.b), (repr(x), old)
+    assert type(x.a) is Fraction and type(x.b) is Fraction
+    assert str(x) == str(old)
+
+
+def _check_full_support(support, old):
+    """Past the primes up to 7: the support is canonically ordered with nonzero
+    ords, lies over primes of the norm or of a coordinate's denominator (sympy
+    factors them), and at each such p gives sum_v f_v ord_v = ord_p N(x)."""
+    from sympy import primefactors
+
+    n = old.norm()
+    primes = set().union(*(primefactors(m) for m in (
+        n.numerator, n.denominator, old.a.denominator, old.b.denominator)))
+    assert support == sorted(support, key=lambda t: numfield.place_key(t[0]))
+    assert all(o for _, o in support) and {v.prime for v, _ in support} <= primes
+    for p in primes:
+        assert sum(v.f * o for v, o in support if v.prime == p) == _frac_valuation(n, p)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(ORACLE_FIELDS), _coordinate, _coordinate, _coordinate, _coordinate,
+       st.integers(-4, 4))
+@example(Q, Fraction(-3, 4), 0, Fraction(-2), 0, -3)           # negative D from the inverse
+@example(QI, Fraction(1, 2), Fraction(1, 2), 1, -1, -2)         # (1 + i)/2: norm 2/4
+@example(NumberField(7), Fraction(1, 2), Fraction(-1, 4), 0, 3, 5)  # trace term of norm
+def test_integer_elements_match_the_fraction_oracle(field, a, b, c, e, k):
+    if field.d is None:
+        b = e = 0
+    x, y = field.element(a, b), field.element(c, e)
+    ox, oy = FractionElement(field, Fraction(a), Fraction(b)), FractionElement(field, Fraction(c), Fraction(e))
+    _agrees(x, ox)
+    _agrees(y, oy)
+    _agrees(x + y, ox + oy)
+    _agrees(x - y, ox - oy)
+    _agrees(x * y, ox * oy)
+    _agrees(-x, FractionElement(field, -ox.a, -ox.b))
+    _agrees(x.conjugate(), ox.conjugate())
+    assert x.norm() == ox.norm() and type(x.norm()) is Fraction
+    n, dn = x.norm_ints()
+    assert Fraction(n, dn) == ox.norm() and dn == x.D ** field.degree
+    assert (x == y) == ((ox.a, ox.b) == (oy.a, oy.b))
+    if y.is_zero():
+        with pytest.raises(ZeroDivisionError):
+            y.inverse()
+    else:
+        _agrees(x / y, ox / oy)
+        _agrees(y.inverse(), oy.inverse())
+        again = x * y / y  # the same element by another route, so the same ints
+        assert again == x and hash(again) == hash(x) and again.D == x.D
+    if x.is_zero():
+        return
+    _agrees(x ** k, ox ** k)
+    for v in SMALL_PLACES[field]:
+        assert ord(x, v) == oracle_ord(ox, v), (x, v)
+    support = divisor_support(x)
+    small = [(v, o) for v in SMALL_PLACES[field] if (o := oracle_ord(ox, v))]
+    assert [(v, o) for v, o in support if v.prime <= 7] == small
+    _check_full_support(support, ox)
+
+
+def test_element_rejects_floats_and_other_non_rationals():
+    from decimal import Decimal
+
+    assert Q.element(1) == Q.element(Fraction(1)) and QI.element(0, True) == QI.omega()
+    for bad in (0.1, 1.0, 0.0, 2j, Decimal("0.1"), "1", None):
+        for build in (lambda: Q.element(bad), lambda: QI.element(1, bad),
+                      lambda: QI.element(bad, Fraction(1, 2))):
+            with pytest.raises(FieldError, match=re.escape(repr(bad))):
+                build()
+    with pytest.raises(FieldError, match="nonzero omega coordinate"):
+        Q.element(1, 1)
