@@ -857,7 +857,6 @@ _coordinate = st.one_of(st.integers(-40, 40),
 def _canonical(x):
     assert x.D > 0 and math.gcd(x.A, x.B, x.D) == 1, repr(x)
     assert x.field.d is not None or x.B == 0, repr(x)
-    return x
 
 
 def _agrees(x, old):
