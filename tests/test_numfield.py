@@ -4,7 +4,7 @@ import re
 import subprocess
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass, replace
 from fractions import Fraction
 
 import pytest
@@ -934,3 +934,22 @@ def test_element_rejects_floats_and_other_non_rationals():
                 build()
     with pytest.raises(FieldError, match="nonzero omega coordinate"):
         Q.element(1, 1)
+
+
+def test_the_constructor_admits_only_the_reduced_form():
+    """FieldElement(field, A, B, D) takes only D > 0, gcd(A, B, D) = 1 and B = 0
+    over Q, so NumberField.element and the arithmetic are the only ways to an
+    element, and no second form of a number compares unequal to it."""
+    for field, A, B, D in ((Q, 2, 0, 4), (Q, 1, 1, 1), (Q, 1, 0, 0), (Q, 1, 0, -2),
+                           (QI, 1, 0, -1), (QI, -1, -2, -3), (QI, 2, 4, 6), (QI, 0, 0, 2),
+                           (QI, 0, 0, 0), (Q3, 3, 6, 9)):
+        with pytest.raises(FieldError, match="not the reduced form"):
+            FieldElement(field, A, B, D)
+    half = QI.element(Fraction(1, 2), Fraction(1, 2))
+    assert FieldElement(QI, 1, 1, 2) == half and hash(FieldElement(QI, 1, 1, 2)) == hash(half)
+    assert FieldElement(Q, 1, 0, 2) == Q.element(Fraction(1, 2))
+    assert FieldElement(QI, 0, 0, 1) == QI.element(0)
+    with pytest.raises(FieldError, match="not the reduced form"):
+        replace(QI.element(2), D=2)
+    with pytest.raises(FrozenInstanceError):
+        half.D = 4

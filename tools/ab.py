@@ -9,9 +9,13 @@ temporary directory (a worktree would register itself in .git and stay
 registered if the run is killed).  Each pair then runs
 ``benchmark/run.py --trace 0`` once in the base tree and once in the working
 tree, on one fresh seed, with the side that runs first alternating, and reads
-each run's last stdout line.  ``BENCH_<workload>.json`` gets both shas, the
-per-pair values of every end-to-end metric, the medians, the base's IQR, the
-win counts and a verdict; the temporary tree is removed at the end.
+each run's last stdout line.  The seeds are fresh: the first is drawn with
+``random.SystemRandom`` and pair i runs first + i, so no one picks the seeds a
+claim is measured on.  ``BENCH_<workload>.json`` gets the seeds, the base's
+sha, HEAD's sha with every path where the working tree differs from HEAD
+(untracked files included; empty when HEAD is what ran), the per-pair values
+of every end-to-end metric, the medians, the base's IQR, the win counts and a
+verdict; the temporary tree is removed at the end.
 
 The verdict is "gain" or "loss" only if one side wins at least 90% of the
 pairs and the median gap exceeds the base's IQR; otherwise it is
@@ -136,8 +140,6 @@ def main(argv=None) -> int:
     ap.add_argument("--workload", required=True)
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seconds", type=float, default=20.0)
-    ap.add_argument("--seed", type=int, default=None,
-                    help="first seed; pair i runs seed + i (default: drawn at random)")
     ap.add_argument("--tmp", default=None, help="directory for the base tree (default: system temp)")
     ap.add_argument("--out", default=".", help="directory for BENCH_<workload>.json")
     args = ap.parse_args(argv)
@@ -146,9 +148,11 @@ def main(argv=None) -> int:
     if not os.path.isfile(os.path.join("benchmark", "run.py")):
         print("error: run from the repository root", file=sys.stderr)
         return 2
-    first = random.SystemRandom().randrange(10 ** 6) if args.seed is None else args.seed
+    first = random.SystemRandom().randrange(10 ** 6)
     seeds = [first + i for i in range(args.pairs)]
     base_sha = _git("rev-parse", "--verify", args.base + "^{commit}")
+    changed = _git("status", "--porcelain", "--untracked-files=all").splitlines()
+    head = {"sha": _git("rev-parse", "HEAD"), "uncommitted_changes": changed}
     base_tree = tempfile.mkdtemp(prefix="ab-base-", dir=args.tmp)
     started = time.time()
     try:
@@ -159,8 +163,7 @@ def main(argv=None) -> int:
     doc = {
         "workload": args.workload,
         "base": {"ref": args.base, "sha": base_sha},
-        "head": {"sha": _git("rev-parse", "HEAD"),
-                 "uncommitted_changes": bool(_git("status", "--porcelain", "--untracked-files=no"))},
+        "head": head,
         "pairs": args.pairs,
         "seconds": args.seconds,
         "seeds": seeds,
