@@ -73,8 +73,9 @@ def verdict(base: list[float], head: list[float], better: str) -> dict:
 
 
 def _git(*args: str) -> str:
+    # rstrip only: a porcelain status line starts with a meaningful space
     return subprocess.run(["git", *args], capture_output=True, text=True,
-                          check=True).stdout.strip()
+                          check=True).stdout.rstrip("\n")
 
 
 def _export(ref: str, dest: str):
