@@ -458,9 +458,12 @@ COMMANDS = [
     ("cohomology collate", COHOMOLOGY.cmd_cohomology_collate,
      "merge labeled classes through transform families",
      [Flag("--input", required=True, metavar="PATH")]),
+    # --exponent with --hahn-cap: digits * n * (2 * bits(p) * n + T) coefficient products,
+    # T = ceil(hahn_cap/exponent), n = min(p, T), at most cli_tilt.EVAL_WORK
     ("tilt eval", TILT.cmd_tilt_eval, "one-parameter action [u] on a monomial",
      [P, Flag("--u", required=True, help="p-integral rational"),
       Flag("--exponent", required=True, help="positive rational exponent"), COEFF]),
+    # --exponent: the value has at most degree + 1 terms, so --degree bounds it
     ("tilt artin-hasse", TILT.cmd_tilt_artin_hasse,
      "p-integral exponential, optional isometry check",
      [P, Flag("--degree", int, 60, (1, 2000)),

@@ -3,9 +3,14 @@ the Witt-vector check.  ``cli`` imports this module when one of them runs."""
 
 from __future__ import annotations
 
+import math
+
 from . import tilt
-from .cli import CliResult, Config, _tuple_cell, parse_fraction
+from .cli import CliResult, Config, _check_work, _tuple_cell, parse_fraction
 from .rng import SplitMix64
+
+# coefficient products of `tilt eval`; see cli._check_work
+EVAL_WORK = 500_000
 
 
 def _series_rows(x):
@@ -15,10 +20,29 @@ def _series_rows(x):
     return rows
 
 
+def _eval_work(p: int, exponent, cap) -> int:
+    """A bound on the coefficient products of [u](c·t^exponent) below cap.
+
+    The monomial's powers leave at most T = ceil(cap/exponent) exponents below
+    the cap.  For each base-p digit d of u that the action reads,
+    (1 + a^(p^i))^d has at most n = min(p, T) terms and takes fewer than
+    2·bits(p) products of such powers, each of at most n² coefficient
+    products, and the running product of at most T terms is multiplied by it
+    once.
+    """
+    terms = math.ceil(cap / exponent)
+    n = min(p, terms)
+    return tilt.lubin_tate_digits(p, exponent, cap) * n * (2 * p.bit_length() * n + terms)
+
+
 def cmd_tilt_eval(cfg: Config, args) -> CliResult:
     u = parse_fraction(args.u)
     exponent = parse_fraction(args.exponent)
     a = tilt.monomial(args.p, exponent, args.coeff, cfg.hahn_cap, cfg.coeff_k)
+    if exponent > 0:
+        _check_work(f"--hahn-cap {cfg.hahn_cap} and --exponent {exponent}",
+                    "digits * n * (2 * bits(p) * n + T) coefficient products, T = ceil(hahn_cap/exponent), "
+                    "n = min(p, T)", _eval_work(args.p, exponent, cfg.hahn_cap), EVAL_WORK)
     out = tilt.lubin_tate_act(u, a)
     va, vo = a.valuation(), out.valuation()
     unit = u.denominator % args.p != 0 and u.numerator % args.p != 0

@@ -66,6 +66,19 @@ def _commutator(a, b):
 IDENTITY_2x2 = ((1, 0), (0, 1))
 
 
+def _float_entries(m) -> tuple:
+    """(a, b, c, d) of m as floats.  The action on angles reads only
+    directions, which one positive scale of all four entries keeps, so integer
+    entries past the float range are shifted right together, the largest to
+    1000 bits, before they are converted."""
+    (a, b), (c, d) = m
+    try:
+        return float(a), float(b), float(c), float(d)
+    except OverflowError:
+        shift = max(abs(v).bit_length() for v in (a, b, c, d)) - 1000
+        return float(a >> shift), float(b >> shift), float(c >> shift), float(d >> shift)
+
+
 # ---------------------------------------------------------------------------
 # the universal cover
 
@@ -83,7 +96,8 @@ class UnivCoverElt:
                 raise SzpiroError(f"integer matrix has determinant {det}")
         elif abs(det - 1.0) > 1e-12:
             raise SzpiroError(f"determinant {det} too far from 1")
-        base = math.atan2(float(self.matrix[1][0]), float(self.matrix[0][0]))
+        a, _, c, _ = _float_entries(self.matrix)
+        base = math.atan2(c, a)
         rem = (self.lift0 - base + math.pi) % TWO_PI - math.pi
         if abs(rem) > 1e-9:
             raise SzpiroError("lift0 incompatible with the matrix angle")
@@ -92,7 +106,8 @@ class UnivCoverElt:
 def lift(matrix, winding: int = 0) -> UnivCoverElt:
     """The lift whose value at 0 is the principal angle plus 2 pi winding."""
     m = (tuple(matrix[0]), tuple(matrix[1]))
-    base = math.atan2(float(m[1][0]), float(m[0][0])) % TWO_PI
+    a, _, c, _ = _float_entries(m)
+    base = math.atan2(c, a) % TWO_PI
     return UnivCoverElt(m, base + TWO_PI * winding)
 
 
@@ -113,7 +128,7 @@ def _evaluate_array(e: UnivCoverElt, xs: np.ndarray) -> np.ndarray:
     if a == 1 and d == 1 and b == 0 and c == 0:
         # central elements translate exactly; skip the trig round trip
         return e.lift0 + xs
-    a, b, c, d = float(a), float(b), float(c), float(d)
+    a, b, c, d = _float_entries(e.matrix)
     n = np.floor(xs / math.pi)
     x0 = xs - n * math.pi
     cos0, sin0 = np.cos(x0), np.sin(x0)
@@ -139,7 +154,8 @@ def compose(e1: UnivCoverElt, e2: UnivCoverElt) -> UnivCoverElt:
     # the matrix fixes lift0 mod 2 pi; the evaluation only has to choose the
     # branch, so snap to the congruent point (drift << pi even when a huge
     # hyperbolic matrix makes the raw value ill-conditioned)
-    base = math.atan2(float(m[1][0]), float(m[0][0]))
+    a, _, c, _ = _float_entries(m)
+    base = math.atan2(c, a)
     return UnivCoverElt(m, raw + ((base - raw + math.pi) % TWO_PI - math.pi))
 
 

@@ -4,9 +4,14 @@ Elements are finite sorted exponent-to-coefficient maps below an exact rational
 precision cap. The coefficient field is F_{p^k} (default k = 12) realized as
 polynomial residues mod a deterministically chosen irreducible, so x -> x^p
 is a bijection of F_{p^k}. On top of the series field: the Artin-Hasse
-exponential (Dwork's recurrence), the Lubin-Tate unit action on 1 + m,
-Teichmueller lifts, and Witt vectors of length <= 3 via universal sum/product
-polynomials solved once over the integers by the ghost recursion.
+exponential, the Lubin-Tate unit action on 1 + m, Teichmueller lifts, and Witt
+vectors of length <= 3 via universal sum/product polynomials solved once over
+the integers by the ghost recursion.
+
+`artin_hasse` runs Dwork's recurrence on integer residues mod
+p^(precision + v_p(D!)), D the degree, not on Fractions: its coefficients are
+p-integral, each division by p^k in the recurrence costs at most k digits, and
+along any chain of indices <= D those costs add up to at most v_p(D!).
 
 `evaluate_series` and `hahn_inv` run on one packed integer kernel
 (`_packing`): exponents are ints over one common denominator, and each
@@ -394,35 +399,43 @@ class ZpSeries:
         return self.coeffs[n]
 
 
-def _exact_artin_hasse(p: int, max_degree: int) -> list:
-    """Exact rational coefficients of exp(sum T^{p^i}/p^i) through max_degree.
+def artin_hasse(p: int, max_degree: int, coeff_precision: int) -> ZpSeries:
+    """AH(T) = exp(sum T^{p^i}/p^i) through T^D, D = max_degree, its coefficients
+    verified p-integral and reduced mod p^precision.
 
     T d/dT turns the exponential into Dwork's recurrence
-    n c_n = sum_{p^i <= n} c_{n - p^i}, with c_0 = 1.
+    n c_n = sum_{p^i <= n} c_{n - p^i}, with c_0 = 1, and Dwork's lemma makes
+    every c_n p-integral.  The recurrence runs on residues mod
+    W = p^(precision + v_p(D!)): for n = p^k·m with p ∤ m, the sum is divided
+    by p^k exactly and multiplied by m^{-1} mod W.  A division by p^k leaves a
+    residue right to k fewer digits than the sum, and c_n reaches back to c_0
+    through a chain of distinct indices <= D, which lose at most
+    sum_{n <= D} v_p(n) = v_p(D!) digits in all.  So every residue is right
+    mod p^precision, and a sum that p^k does not divide raises TiltError.
     """
-    out = [Fraction(1)]
-    for n in range(1, max_degree + 1):
-        acc, q = Fraction(0), 1
-        while q <= n:
-            acc += out[n - q]
-            q *= p
-        out.append(acc / n)
-    return out
-
-
-def artin_hasse(p: int, max_degree: int, coeff_precision: int) -> ZpSeries:
-    """AH(T) = exp(sum T^{p^n}/p^n), verified p-integral, reduced mod p^precision."""
     check_prime(p)
     if max_degree < 1:
         raise TiltError("max_degree must be >= 1")
-    exact = _exact_artin_hasse(p, max_degree)
+    lost, q = 0, p  # v_p(D!) by Legendre's formula
+    while q <= max_degree:
+        lost += max_degree // q
+        q *= p
     mod = p ** coeff_precision
-    reduced = []
-    for n, c in enumerate(exact):
-        if c.denominator % p == 0:
+    work = mod * p ** lost
+    out = [1]
+    for n in range(1, max_degree + 1):
+        acc, q = 0, 1
+        while q <= n:
+            acc += out[n - q]
+            q *= p
+        m, pk = n, 1
+        while m % p == 0:
+            m //= p
+            pk *= p
+        if acc % pk:
             raise TiltError(f"Artin-Hasse coefficient of T^{n} is not {p}-integral")
-        reduced.append(c.numerator * pow(c.denominator, -1, mod) % mod)
-    return ZpSeries(p, coeff_precision, max_degree, tuple(reduced))
+        out.append(acc // pk * pow(m, -1, work) % work)
+    return ZpSeries(p, coeff_precision, max_degree, tuple(c % mod for c in out))
 
 
 def evaluate_series(s: ZpSeries, a: HahnSeries) -> HahnSeries:
@@ -475,6 +488,15 @@ def evaluate_series(s: ZpSeries, a: HahnSeries) -> HahnSeries:
     return hahn(p, {Fraction(e, L): tuple(reduce(v)) for e, v in acc.items()}, cap, k)
 
 
+def lubin_tate_digits(p: int, valuation: Fraction, cap: Fraction) -> int:
+    """The base-p digits of u that [u](a) reads at valuation(a) > 0: the fewest,
+    at least one, that put the truncation error at p^digits·valuation(a) >= cap."""
+    digits = 1
+    while p ** digits * valuation < cap:
+        digits += 1
+    return digits
+
+
 def lubin_tate_act(u, a: HahnSeries) -> HahnSeries:
     """[u](a) = (1+a)^u - 1 for p-integral u, via base-p digits of u.
 
@@ -491,9 +513,7 @@ def lubin_tate_act(u, a: HahnSeries) -> HahnSeries:
     va = a.valuation()
     if va <= 0:
         raise TiltError("lubin_tate_act needs valuation(a) > 0")
-    precision = 1
-    while p ** precision * va < a.cap:
-        precision += 1
+    precision = lubin_tate_digits(p, va, a.cap)
     mod = p ** precision
     u = Fraction(u)
     if u.denominator % p == 0:

@@ -158,6 +158,15 @@ def test_cor312_example(capsys):
     assert doc["seed"] == 7
 
 
+def test_cor312_with_lifts_past_the_float_range(capsys):
+    # the composed lifts of this datum have integer entries past 2^1024
+    code, doc = run_json(capsys, "szpiro", "cor312", "--seed", "391208478", "--genus", "2",
+                         "--punctures", "5", "--ell", "11")
+    assert code == 0
+    assert doc["passed"] is True
+    assert doc["mid"] >= doc["rhs"] - doc["tolerance"]
+
+
 def test_orbit_scan_gaussian_and_eisenstein(capsys):
     code, doc = run_json(capsys, "orbit", "--field", "Q(sqrt(-1))", "--bound", "5")
     assert code == 0
@@ -513,8 +522,6 @@ def test_validation_exit_codes(capsys, monkeypatch, tmp_path):
         (["places", "--bound", "100000000"], "--bound"),
         (["tilt", "witt-check", "--p", "11"], "p = 11"),
         (["szpiro", "height", "--matrix", "0,-1;1,0", "--hahn-cap", "1/0"], "hahn_cap"),
-        (["szpiro", "cor312", "--seed", "391208478", "--genus", "2", "--punctures", "5",
-          "--ell", "11"], "391208478"),
         (["tilt", "eval", "--p", "3", "--u", "2", "--exponent", "1e10000000"], "'1e10000000'"),
         (["distance", "--deform", "5:1e99999"], "'1e99999'"),
     ]
@@ -589,6 +596,8 @@ def test_validation_exit_codes(capsys, monkeypatch, tmp_path):
          "--count 5000 and grid 65536"),
         (["szpiro", "lattice", "--n=-64:64", "--m=-64:64", "--ell", "997"],
          "--n -64:64, --m -64:64, --ell 997"),
+        (["tilt", "eval", "--p", "997", "--u", "3/5", "--exponent", "1/100000",
+          "--hahn-cap", "1024", "--coeff-k", "12"], "--hahn-cap 1024 and --exponent 1/100000"),
     ]
     for knob, value in [("grid", 100.7), ("seed", 1.5), ("grid", True)]:
         path = tmp_path / f"{knob}_{value}.json"

@@ -37,7 +37,7 @@ GRAMMAR = {  # well-formed values of each text flag
     "--place": ["5", "5'", "2", "13"],
     "--deform": ["5:3/2", "3:1/2", "2:1/3", "7':2", "9001:2", "5:" + NEAR_ONE],
     "--u": ["2", "1/2", "3/5"],
-    "--exponent": ["1/2", "2/3", "3/4"],
+    "--exponent": ["1/2", "2/3", "3/4", "1/1000", "1/100000"],
     "--entry": ["7:3/1", "5:25", "5':2+i", "13':13"],
     "--arch": ["0.1", "0.2,0.1"],
     "--tau": ["0.3+0.9j", "0.25,0.5"],

@@ -166,6 +166,26 @@ def test_composition_is_associative_to_tolerance():
 # ---------------------------------------------------------------------------
 # heights
 
+def test_lifts_past_the_float_range_keep_their_directions():
+    # A^800 has entries near 2^1111, past what float() converts; the angles
+    # depend only on directions, read here from exact int ratios
+    from fractions import Fraction
+
+    half = _int_mat_pow(((2, 1), (1, 1)), 400)
+    (a, b), (c, d) = m = _int_mat_pow(half, 2)
+    assert a.bit_length() > 1100
+    e = lift(m)
+    assert abs(e.lift0 - math.atan(c / a)) < 1e-15
+    square = compose(lift(half), lift(half))
+    assert square.matrix == m and abs(square.lift0 - e.lift0) < 1e-12
+    for x in (0.0, 0.5, 2.0, 3.0):
+        cx, sx = Fraction(math.cos(x)), Fraction(math.sin(x))
+        slope = float((c * cx + d * sx) / (a * cx + b * sx))
+        assert abs(math.sin(evaluate(e, x) - math.atan(slope))) < 1e-12, x
+    h = height_q(e, 256)
+    assert math.isfinite(h.value) and math.isfinite(h.error)
+
+
 def test_height_of_identity_is_zero():
     h = height_q(identity_lift())
     assert h.value == 0.0

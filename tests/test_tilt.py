@@ -79,6 +79,25 @@ def oracle_artin_hasse(p, max_degree):
     return out
 
 
+def fraction_artin_hasse(p, max_degree, precision):
+    """Dwork's recurrence n c_n = sum_{p^i <= n} c_{n - p^i} on exact Fractions,
+    each c_n then reduced as numerator·denominator⁻¹ mod p^precision."""
+    out = [F(1)]
+    for n in range(1, max_degree + 1):
+        acc, q = F(0), 1
+        while q <= n:
+            acc += out[n - q]
+            q *= p
+        out.append(acc / n)
+    mod = p ** precision
+    reduced = []
+    for n, c in enumerate(out):
+        if c.denominator % p == 0:
+            raise TiltError(f"Artin-Hasse coefficient of T^{n} is not {p}-integral")
+        reduced.append(c.numerator * pow(c.denominator, -1, mod) % mod)
+    return tuple(reduced)
+
+
 def oracle_ghost(p, vec):
     """Ghost components of an integer Witt vector, exact."""
     return [
@@ -337,6 +356,18 @@ def test_artin_hasse_matches_mobius_product_oracle():
         for n, c in enumerate(oracle):
             assert c.denominator % p != 0
             assert ah.coefficient(n) == c.numerator * pow(c.denominator, -1, mod) % mod
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from((2, 3, 5, 7, 11, 997)), st.integers(1, 200), st.integers(1, 64))
+def test_artin_hasse_matches_the_fraction_oracle(p, max_degree, precision):
+    assert artin_hasse(p, max_degree, precision).coeffs == \
+        fraction_artin_hasse(p, max_degree, precision)
+
+
+def test_artin_hasse_matches_the_fraction_oracle_at_the_cli_corner():
+    # --p 997 --degree 2000 --padic-precision 64: the largest the flags admit
+    assert artin_hasse(997, 2000, 64).coeffs == fraction_artin_hasse(997, 2000, 64)
 
 
 def test_artin_hasse_p_integral_to_degree_60():
