@@ -41,8 +41,9 @@ def cmd_tilt_eval(cfg: Config, args) -> CliResult:
     a = tilt.monomial(args.p, exponent, args.coeff, cfg.hahn_cap, cfg.coeff_k)
     if exponent > 0:
         _check_work(f"--hahn-cap {cfg.hahn_cap} and --exponent {exponent}",
-                    "digits * n * (2 * bits(p) * n + T) coefficient products, T = ceil(hahn_cap/exponent), "
-                    "n = min(p, T)", _eval_work(args.p, exponent, cfg.hahn_cap), EVAL_WORK)
+                    "digits * n * (2 * bits(p) * n + T) coefficient products, "
+                    "T = ceil(hahn_cap/exponent), n = min(p, T)",
+                    _eval_work(args.p, exponent, cfg.hahn_cap), EVAL_WORK)
     out = tilt.lubin_tate_act(u, a)
     va, vo = a.valuation(), out.valuation()
     unit = u.denominator % args.p != 0 and u.numerator % args.p != 0
