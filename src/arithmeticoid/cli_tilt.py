@@ -39,7 +39,7 @@ def cmd_tilt_eval(cfg: Config, args) -> CliResult:
     u = parse_fraction(args.u)
     exponent = parse_fraction(args.exponent)
     a = tilt.monomial(args.p, exponent, args.coeff, cfg.hahn_cap, cfg.coeff_k)
-    if exponent > 0:
+    if not a.is_zero() and exponent > 0:  # lubin_tate_act rejects exponent <= 0
         _check_work(f"--hahn-cap {cfg.hahn_cap} and --exponent {exponent}",
                     "digits * n * (2 * bits(p) * n + T) coefficient products, "
                     "T = ceil(hahn_cap/exponent), n = min(p, T)",

@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -169,8 +170,6 @@ def test_composition_is_associative_to_tolerance():
 def test_lifts_past_the_float_range_keep_their_directions():
     # A^800 has entries near 2^1111, past what float() converts; the angles
     # depend only on directions, read here from exact int ratios
-    from fractions import Fraction
-
     half = _int_mat_pow(((2, 1), (1, 1)), 400)
     (a, b), (c, d) = m = _int_mat_pow(half, 2)
     assert a.bit_length() > 1100

@@ -6,7 +6,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from arithmeticoid.tilt import (
     DEFAULT_K,
@@ -360,14 +360,10 @@ def test_artin_hasse_matches_mobius_product_oracle():
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(st.sampled_from((2, 3, 5, 7, 11, 997)), st.integers(1, 200), st.integers(1, 64))
+@example(997, 2000, 64)  # the CLI corner: --p 997 --degree 2000 --padic-precision 64
 def test_artin_hasse_matches_the_fraction_oracle(p, max_degree, precision):
     assert artin_hasse(p, max_degree, precision).coeffs == \
         fraction_artin_hasse(p, max_degree, precision)
-
-
-def test_artin_hasse_matches_the_fraction_oracle_at_the_cli_corner():
-    # --p 997 --degree 2000 --padic-precision 64: the largest the flags admit
-    assert artin_hasse(997, 2000, 64).coeffs == fraction_artin_hasse(997, 2000, 64)
 
 
 def test_artin_hasse_p_integral_to_degree_60():
