@@ -458,7 +458,7 @@ COMMANDS = [
     ("cohomology collate", COHOMOLOGY.cmd_cohomology_collate,
      "merge labeled classes through transform families",
      [Flag("--input", required=True, metavar="PATH")]),
-    # --exponent with --hahn-cap: digits * n * (2 * bits(p) * n + T) coefficient products,
+    # --exponent with --hahn-cap: digits * n * (T + 1) coefficient products,
     # T = ceil(hahn_cap/exponent), n = min(p, T), at most cli_tilt.EVAL_WORK
     ("tilt eval", TILT.cmd_tilt_eval, "one-parameter action [u] on a monomial",
      [P, Flag("--u", required=True, help="p-integral rational"),

@@ -24,15 +24,14 @@ def _eval_work(p: int, exponent, cap) -> int:
     """A bound on the coefficient products of [u](c·t^exponent) below cap.
 
     The monomial's powers leave at most T = ceil(cap/exponent) exponents below
-    the cap.  For each base-p digit d of u that the action reads,
-    (1 + a^(p^i))^d has at most n = min(p, T) terms and takes fewer than
-    2·bits(p) products of such powers, each of at most n² coefficient
-    products, and the running product of at most T terms is multiplied by it
-    once.
+    the cap.  For each base-p digit d of u that the action reads, the factor
+    (1 + b)^d = sum_j binom(d, j)·b^j, b = a^(p^i), has at most n = min(p, T)
+    terms, each power b^j is one product from the last, and the running
+    product of at most T terms meets the factor in at most T·n products.
     """
     terms = math.ceil(cap / exponent)
     n = min(p, terms)
-    return tilt.lubin_tate_digits(p, exponent, cap) * n * (2 * p.bit_length() * n + terms)
+    return tilt.lubin_tate_digits(p, exponent, cap) * n * (terms + 1)
 
 
 def cmd_tilt_eval(cfg: Config, args) -> CliResult:
@@ -41,7 +40,7 @@ def cmd_tilt_eval(cfg: Config, args) -> CliResult:
     a = tilt.monomial(args.p, exponent, args.coeff, cfg.hahn_cap, cfg.coeff_k)
     if not a.is_zero() and exponent > 0:  # lubin_tate_act rejects exponent <= 0
         _check_work(f"--hahn-cap {cfg.hahn_cap} and --exponent {exponent}",
-                    "digits * n * (2 * bits(p) * n + T) coefficient products, "
+                    "digits * n * (T + 1) coefficient products, "
                     "T = ceil(hahn_cap/exponent), n = min(p, T)",
                     _eval_work(args.p, exponent, cfg.hahn_cap), EVAL_WORK)
     out = tilt.lubin_tate_act(u, a)

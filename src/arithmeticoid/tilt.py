@@ -13,11 +13,12 @@ p^(precision + v_p(D!)), D the degree, not on Fractions: its coefficients are
 p-integral, each division by p^k in the recurrence costs at most k digits, and
 along any chain of indices <= D those costs add up to at most v_p(D!).
 
-`evaluate_series` and `hahn_inv` run on one packed integer kernel
-(`_packing`): exponents are ints over one common denominator, and each
-F_{p^k} coefficient is one int of k W-bit slots, reduced once per output
-exponent.  Each call chooses W from the largest sum a slot can hold, so no
-slot carries into the next.
+`evaluate_series`, `lubin_tate_act` and `hahn_inv` run on one packed integer
+kernel (`_slots`): exponents are ints over one common denominator (`_scaled`),
+and each F_{p^k} coefficient is one int of k W-bit slots, reduced once per
+output exponent.  The first two share one series product (`_series_mul`) and
+one sum of powers (`_power_sum`); each product, sum or inversion chooses W
+from the largest sum a slot of it can hold, so no slot carries into the next.
 """
 
 from __future__ import annotations
@@ -140,6 +141,8 @@ class CoeffField:
         self.one = tuple([1] + [0] * (k - 1))
 
     def _find_modulus(self):
+        # c < p^k runs through every monic of degree k, and F_p has an
+        # irreducible monic of every degree k >= 1, so the scan returns
         p, k = self.p, self.k
         c = 0
         while True:
@@ -151,8 +154,6 @@ class CoeffField:
             if _is_irreducible(f, p):
                 return f
             c += 1
-            if c > p ** k:
-                raise TiltError("no irreducible modulus found")  # unreachable
 
     def _pad(self, a):
         return tuple(list(a) + [0] * (self.k - len(a)))
@@ -300,23 +301,30 @@ def hahn_pow(x: HahnSeries, n: int) -> HahnSeries:
         base = hahn_mul(base, base)
 
 
-def _packing(fld: CoeffField, cap: Fraction, exponents, bound: int):
-    """The packed integer kernel of one series computation over F_{p^k}.
+def _scaled(cap: Fraction, exponents):
+    """(L, top): L the lcm of the denominators of cap and exponents, top = cap·L."""
+    L = math.lcm(cap.denominator, *(e.denominator for e in exponents))
+    return L, cap.numerator * (L // cap.denominator)
+
+
+def _ints(terms, L: int):
+    """Hahn terms as (int exponent over L, coefficient) pairs."""
+    return [(e.numerator * (L // e.denominator), c) for e, c in terms]
+
+
+@lru_cache(maxsize=None)
+def _slots(fld: CoeffField, W: int):
+    """The packed integer kernel of F_{p^k} at slot width W.
 
     Kronecker substitution (von zur Gathen & Gerhard, Modern Computer Algebra,
-    §8.4): each exponent becomes an int over L, the lcm of the denominators of
-    cap and of exponents, and top = cap·L.  Each coefficient becomes one int
-    with its k residues in W-bit slots, W the least width with 2^W > bound, so
-    the product of two coefficients is one int multiply and a sum of products
-    carries from no slot into the next as long as no slot passes bound.
-    Returns (L, top, pack, reduce): pack maps residues to that int, and reduce
-    maps such a sum back to k residues, every slot mod p and then one fold by
-    the monic modulus.
+    §8.4): a coefficient becomes one int with its k residues in W-bit slots, so
+    the product of two coefficients is one int multiply, and a sum of products
+    carries from no slot into the next while every slot stays below 2^W.
+    Returns (pack, reduce): pack maps residues to that int, and reduce maps
+    such a sum back to k residues, every slot mod p and then one fold by the
+    monic modulus.
     """
     p, f = fld.p, fld.modulus
-    L = math.lcm(cap.denominator, *(e.denominator for e in exponents))
-    top = cap.numerator * (L // cap.denominator)
-    W = bound.bit_length()
     mask = (1 << W) - 1
     shifts = range(0, W * (2 * fld.k - 1), W)
 
@@ -326,7 +334,49 @@ def _packing(fld: CoeffField, cap: Fraction, exponents, bound: int):
     def reduce(v):
         return _poly_reduce([(v >> w & mask) % p for w in shifts], f, p)
 
-    return L, top, pack, reduce
+    return pack, reduce
+
+
+def _series_mul(fld: CoeffField, x, y, top: int):
+    """The nonzero terms of x·y below top, increasing; x, y and the result are
+    lists of (int exponent, k residues), y's exponents increasing.
+
+    Each sum of products is reduced once.  An exponent of x meets at most one
+    of y in a sum, so a slot of it is at most min(|x|, |y|)·k·(p−1)².
+    """
+    if not x or not y:
+        return []
+    pack, reduce = _slots(fld, (min(len(x), len(y)) * fld.k * (fld.p - 1) ** 2).bit_length())
+    ys = [(e, pack(c)) for e, c in y]
+    sums: dict = {}
+    for ex, cx in x:
+        cx = pack(cx)
+        for ey, cy in ys:
+            e = ex + ey
+            if e >= top:
+                break
+            sums[e] = sums.get(e, 0) + cx * cy
+    return [(e, c) for e in sorted(sums) if any(c := reduce(sums[e]))]
+
+
+def _power_sum(fld: CoeffField, coeffs, base, top: int):
+    """The nonzero terms of sum_n coeffs[n]·base^n below top, increasing.
+
+    coeffs are residues mod p, base is as in `_series_mul` at positive
+    exponents, and base^n = base^(n−1)·base.  A slot of the running sum is at
+    most len(coeffs)·(p−1)².
+    """
+    pack, reduce = _slots(fld, (len(coeffs) * (fld.p - 1) ** 2).bit_length())
+    acc = {0: coeffs[0]}  # packed, reduced only at the end
+    power = [(0, fld.one)]
+    for c in coeffs[1:]:
+        power = _series_mul(fld, power, base, top)
+        if not power:
+            break
+        if c:
+            for e, x in power:
+                acc[e] = acc.get(e, 0) + pack(x) * c
+    return [(e, c) for e in sorted(acc) if any(c := reduce(acc[e]))]
 
 
 def hahn_inv(x: HahnSeries) -> HahnSeries:
@@ -345,14 +395,13 @@ def hahn_inv(x: HahnSeries) -> HahnSeries:
     p, k = x.p, x.k
     fld = x.field
     a, c = x.leading()
-    L, top, pack, reduce = _packing(fld, x.cap, [e for e, _ in x.terms],
-                                    max(1, len(x.terms) - 1) * k * (p - 1) ** 2)
+    L, top = _scaled(x.cap, [e for e, _ in x.terms])
+    pack, reduce = _slots(fld, (max(1, len(x.terms) - 1) * k * (p - 1) ** 2).bit_length())
     lead = a.numerator * (L // a.denominator)
     top -= lead
     cinv = pack(fld.inv(c))
     # −u, at exponents over L relative to the lead, increasing
-    step = [(e.numerator * (L // e.denominator) - lead, pack(reduce(pack(fld.neg(cc)) * cinv)))
-            for e, cc in x.terms[1:]]
+    step = [(e - lead, pack(reduce(pack(fld.neg(cc)) * cinv))) for e, cc in _ints(x.terms[1:], L)]
     exps = frontier = {0}
     while frontier:
         frontier = {e + d for e in frontier for d, _ in step if e + d < top} - exps
@@ -442,11 +491,9 @@ def evaluate_series(s: ZpSeries, a: HahnSeries) -> HahnSeries:
     """sum (c_n mod p) a^n below min(cap(a), (D+1)·valuation(a)), D = max_degree;
     needs valuation(a) > 0 for convergence of the truncation.
 
-    The power loop runs on the packed kernel of `_packing`.  a^(n-1)·a sums
-    the products per output exponent unreduced and reduces each sum once.  A
-    slot of such a sum is at most |a|·k·(p−1)², and a slot of the running sum
-    of c_n·a^n at most (D+1)·(p−1)², so W is the least width with
-    2^W > max(|a|·k·(p−1)², (D+1)·(p−1)²).
+    It is `_power_sum` on the packed kernel: every exponent of a^n is an int
+    over L, and terms at or past the cap only feed terms past it, since every
+    exponent of a is positive.
     """
     if s.p != a.p:
         raise TiltError("series and argument primes differ")
@@ -456,36 +503,11 @@ def evaluate_series(s: ZpSeries, a: HahnSeries) -> HahnSeries:
     va = a.valuation()
     if va <= 0:
         raise TiltError("evaluate_series needs valuation(a) > 0")
-    D = s.max_degree
-    cap = min(a.cap, (D + 1) * va)
-    # every exponent of a^n is a multiple of 1/L; terms at or past the cap
-    # only feed terms past it, since every exponent of a is positive
-    L, top, pack, reduce = _packing(a.field, cap, [e for e, _ in a.terms],
-                                    max(len(a.terms) * k, D + 1) * (p - 1) ** 2)
-    base = [(e.numerator * (L // e.denominator), pack(c)) for e, c in a.terms]
-    base = [(e, c) for e, c in base if e < top]
-    acc = {0: s.coeffs[0] % p}  # packed, reduced only at the end
-    a_n = [(0, 1)]
-    for n in range(1, D + 1):
-        sums: dict = {}
-        for e1, x in a_n:
-            for e2, y in base:
-                e = e1 + e2
-                if e >= top:
-                    break
-                sums[e] = sums.get(e, 0) + x * y
-        a_n = []
-        for e, v in sums.items():
-            c = reduce(v)
-            if any(c):
-                a_n.append((e, pack(c)))
-        if not a_n:
-            break
-        c = s.coeffs[n] % p
-        if c:
-            for e, x in a_n:
-                acc[e] = acc.get(e, 0) + x * c
-    return hahn(p, {Fraction(e, L): tuple(reduce(v)) for e, v in acc.items()}, cap, k)
+    cap = min(a.cap, (s.max_degree + 1) * va)
+    L, top = _scaled(cap, [e for e, _ in a.terms])
+    base = [(e, c) for e, c in _ints(a.terms, L) if e < top]
+    terms = _power_sum(a.field, [c % p for c in s.coeffs], base, top)
+    return HahnSeries(p, k, tuple((Fraction(e, L), tuple(c)) for e, c in terms), cap)
 
 
 def lubin_tate_digits(p: int, valuation: Fraction, cap: Fraction) -> int:
@@ -500,14 +522,17 @@ def lubin_tate_digits(p: int, valuation: Fraction, cap: Fraction) -> int:
 def lubin_tate_act(u, a: HahnSeries) -> HahnSeries:
     """[u](a) = (1+a)^u - 1 for p-integral u, via base-p digits of u.
 
-    (1+a)^{p^i} is the i-fold Frobenius of 1+a, so the action is an exact finite
-    product of small powers over the fewest digits that put the truncation
-    error, at valuation p^precision * valuation(a), past the cap. Units act
-    invertibly and preserve valuation (leading term u*a); non-unit integers
-    are still honest endomorphisms, only u with p in the denominator is
-    rejected.
+    (1+a)^{p^i} = 1 + b with b = a^{p^i}, the i-fold Frobenius of a, so the
+    action is an exact finite product of factors (1 + b)^d over the fewest
+    digits d of u that put the truncation error, at valuation
+    p^precision * valuation(a), past the cap.  As d < p, each factor is
+    sum_j binom(d, j)·b^j (`_power_sum`), and it meets the running product in
+    one `_series_mul`; the product's constant term, exactly 1, is dropped.
+    Units act invertibly and preserve valuation (leading term u*a); non-unit
+    integers are still honest endomorphisms, only u with p in the denominator
+    is rejected.
     """
-    p = a.p
+    p, k = a.p, a.k
     if a.is_zero():
         return a
     va = a.valuation()
@@ -519,17 +544,23 @@ def lubin_tate_act(u, a: HahnSeries) -> HahnSeries:
     if u.denominator % p == 0:
         raise TiltError(f"u = {u} is not {p}-integral")
     digits_src = u.numerator * pow(u.denominator, -1, mod) % mod
-    cap = a.cap
-    one = hahn_one(p, cap, a.k)
-    base = hahn_add(one, hahn(p, dict(a.terms), cap, a.k))  # 1 + a at working cap
-    out = one
-    for _ in range(precision):
+    fld, cap = a.field, a.cap
+    L, top = _scaled(cap, [e for e, _ in a.terms])
+    out = [(0, fld.one)]
+    b = a
+    for i in range(precision):
+        if i:  # the terms of b at or past the cap only feed terms past it
+            b = frobenius(b)
+            b = HahnSeries(p, k, tuple(t for t in b.terms if t[0] < cap), cap)
         digits_src, d = divmod(digits_src, p)
         if d:
-            out = hahn_mul(out, hahn_pow(base, d))
-        base = frobenius(base)
-        base = hahn(p, dict(base.terms), cap, a.k)  # refold under the working cap
-    return hahn_add(out, hahn_neg(one))
+            base = _ints(b.terms, L)
+            # b^j is zero below the cap once j·valuation(b) >= cap
+            binom = [1]
+            for j in range(1, min(d, (top - 1) // base[0][0]) + 1):
+                binom.append(binom[-1] * (d - j + 1) * pow(j, -1, p) % p)
+            out = _series_mul(fld, out, _power_sum(fld, binom, base, top), top)
+    return HahnSeries(p, k, tuple((Fraction(e, L), tuple(c)) for e, c in out[1:]), cap)
 
 
 # ---------------------------------------------------------------------------
