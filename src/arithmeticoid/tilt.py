@@ -370,9 +370,7 @@ def _power_sum(fld: CoeffField, coeffs, base, top: int):
     acc = {0: coeffs[0]}  # packed, reduced only at the end
     power = [(0, fld.one)]
     for c in coeffs[1:]:
-        power = _series_mul(fld, power, base, top)
-        if not power:
-            break
+        power = _series_mul(fld, power, base, top)  # [] once past the cap
         if c:
             for e, x in power:
                 acc[e] = acc.get(e, 0) + pack(x) * c
@@ -645,8 +643,6 @@ def _check_witt_pair(x: WittExpansion, y: WittExpansion):
         raise TiltError("mixed primes in Witt arithmetic")
     if x.length != y.length:
         raise TiltError("mixed Witt lengths")
-    if x.length > MAX_WITT_LENGTH:
-        raise TiltError(f"Witt length {x.length} > {MAX_WITT_LENGTH} unsupported")
 
 
 def _eval_witt_poly(terms, xs, ys, p, k, cap):

@@ -12,9 +12,14 @@ text (a Traceback, "invalid literal", "Exceeds the limit", "math domain error")
 off stderr, finish in under 5 s, and print the same stdout when rerun.  Only a
 command whose verdict rests on a grid estimate may exit 2: every other verdict
 is a theorem.  A run that exits 0 in json mode must print JSON.
+
+The tilt commands also run at the corners of their flag boxes, --p up to 997
+and --exponent at 1/10^k and at the digit cap: each run exits 0 or 1 within
+the README's 10 s for a flag at an end of its range.
 """
 
 import io
+import itertools
 import json
 import os
 import time
@@ -47,7 +52,7 @@ GRAMMAR = {  # well-formed values of each text flag
     "--input": [str(DATA / "collate.json")],
     "--n": ["3", "0:2", "1:1"],
     "--m": ["-2:3", "0:2"],
-    "--p": ["2", "3", "5", "7"],
+    "--p": ["2", "3", "5", "7", "997"],
     "--field": ["Q", "Q(sqrt(-1))", "Q(sqrt(-3))"],
     "--hahn-cap": ["8", "1/2"],
     "--arch-scale": ["5/2", "0.1", "2", NEAR_ONE_SCALE],
@@ -160,3 +165,41 @@ NON_FINITE_PARAMS = [["mutate", f"--param=a:{v}", "--independent=1", "--format=j
 @pytest.mark.parametrize("argv", FAR_CARRIERS + NON_FINITE_PARAMS, ids=" ".join)
 def test_cli_fuzz_examples(argv):
     _check(argv)
+
+
+# the README's budget for a command with a flag at an end of its range
+CORNER_SECONDS = 10.0
+# the digit cap of _rational: 1,000 digits, here an exponent just below 1/3
+NEAR_THIRD = "3" * 999 + "/1" + "0" * 999
+TILT_CORNERS = {  # the command, then the values of each flag at the ends of its box
+    "tilt eval": [("--p", ["2", "997"]), ("--u", ["-1", "1", "p-1", "-1/2"]),
+                  ("--exponent", ["1", "1/10", "1/1000", "1/100000", NEAR_THIRD]),
+                  ("--hahn-cap", ["1/1000", "1024"]),
+                  ("--coeff-k --coeff", ["1 -1000000", "12 1"])],
+    "tilt artin-hasse": [("--p", ["2", "997"]), ("--degree", ["1", "2000"]),
+                         ("--padic-precision", ["1", "64"]),
+                         ("--exponent", ["1/100000", NEAR_THIRD]),
+                         ("--hahn-cap --coeff-k", ["1/1000 1", "1024 12"])],
+    # tilt.MAX_WITT_DEGREE puts the corners of --p at (7, 3) and (113, 2)
+    "tilt witt-check": [("--p", ["2", "7", "11", "113", "997"]), ("--count", ["1", "5000"]),
+                        ("--witt-length", ["1", "2", "3"])],
+}
+
+
+def _corner_argvs(words, box):
+    for values in itertools.product(*(vals for _, vals in box)):
+        argv = words.split()
+        for (names, _), value in zip(box, values):
+            value = value.replace("p-1", str(int(values[0]) - 1))  # --p comes first
+            argv += [f"{name}={v}" for name, v in zip(names.split(), value.split())]
+        yield argv
+
+
+@pytest.mark.parametrize("words", sorted(TILT_CORNERS))
+def test_tilt_commands_at_the_corners_of_their_boxes_exit_0_or_1_in_time(words):
+    clean_env = {k: v for k, v in os.environ.items() if not k.startswith(ENV_PREFIX)}
+    with mock.patch.dict(os.environ, clean_env, clear=True):
+        for argv in _corner_argvs(words, TILT_CORNERS[words]):
+            code, _, err, seconds = _run(argv)
+            assert code in (0, 1) and "Traceback" not in err, (argv, code, err)
+            assert seconds < CORNER_SECONDS, (argv, seconds)

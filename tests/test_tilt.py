@@ -26,6 +26,7 @@ from arithmeticoid.tilt import (
     hahn_pow,
     hahn_zero,
     lubin_tate_act,
+    lubin_tate_digits,
     monomial,
     primitive_element,
     teichmueller_lift,
@@ -159,6 +160,35 @@ def hahn_inv_oracle(x):
             n += 1
     out = {e - a: fld.mul(cc, cinv) for e, cc in geo.terms}
     return hahn(x.p, out, x.cap - 2 * a, x.k)
+
+
+def lubin_tate_act_oracle(u, a):
+    """[u](a) = (1+a)^u - 1 on Fraction exponents: 1 + a^(p^i), refolded at the
+    cap, raised to each base-p digit of u by binary hahn_pow, and the
+    factors multiplied by hahn_mul."""
+    p = a.p
+    if a.is_zero():
+        return a
+    va = a.valuation()
+    if va <= 0:
+        raise TiltError("lubin_tate_act needs valuation(a) > 0")
+    precision = lubin_tate_digits(p, va, a.cap)
+    mod = p ** precision
+    u = F(u)
+    if u.denominator % p == 0:
+        raise TiltError(f"u = {u} is not {p}-integral")
+    digits_src = u.numerator * pow(u.denominator, -1, mod) % mod
+    cap = a.cap
+    one = hahn_one(p, cap, a.k)
+    base = hahn_add(one, hahn(p, dict(a.terms), cap, a.k))  # 1 + a at working cap
+    out = one
+    for _ in range(precision):
+        digits_src, d = divmod(digits_src, p)
+        if d:
+            out = hahn_mul(out, hahn_pow(base, d))
+        base = frobenius(base)
+        base = hahn(p, dict(base.terms), cap, a.k)  # refold under the working cap
+    return hahn_add(out, hahn_neg(one))
 
 
 def fermat_inverse(fld, a):
@@ -588,6 +618,42 @@ def test_lubin_tate_keeps_the_series_cap():
         assert lubin_tate_act(u, a).cap == a.cap
 
 
+@st.composite
+def lubin_tate_args(draw):
+    """u an int, negative or not, or a rational with a denominator prime to p,
+    and a series of 1-4 terms over F_{p^k}, k <= 4, below the cap 64, 33/2 or
+    100/7, at exponents over denominators <= 6 no lower than cap/32 (the
+    oracle's binary powers grow with the exponents below the cap)."""
+    p = draw(st.sampled_from([2, 3, 5, 7, 11, 13, 997]))
+    k = draw(st.integers(1, 4))
+    cap = draw(st.sampled_from([F(64), F(33, 2), F(100, 7)]))
+    coeff = st.lists(st.integers(0, p - 1), min_size=k, max_size=k).map(tuple)
+    exponent = st.integers(1, 6).flatmap(lambda den: st.builds(
+        F, st.integers(math.ceil(cap * den / 32), math.ceil(cap * den) - 1), st.just(den)))
+    terms = draw(st.dictionaries(exponent, coeff.filter(any), min_size=1, max_size=4))
+    den = st.integers(1, 40).filter(lambda d: d % p)
+    u = draw(st.integers(-300, 300) | st.builds(F, st.integers(-300, 300), den))
+    return u, hahn(p, terms, cap, k)
+
+
+# Powers b^j of a digit's b = a^(p^i) fall wholly past the cap: b^2 = t^80
+# at p = 3, and b^128 at p = 997 from t^(1/2).  At p = 2, a^4 keeps only its
+# lead t^62 below the cap, and a^8 would lie wholly past it, but the digits
+# stop before it.  u = -1 puts every digit at p - 1, and past 2^32 one
+# coefficient product passes 2^64.
+@example((2, monomial(3, F(40))))
+@example((-1, hahn(2, {F(31, 2): 1, F(40): 1})))
+@example((-1, hahn(997, {F(1, 2): (1, 996), F(7, 2): (5, 0)}, k=2)))
+@example((-1, monomial(997, F(1), cap=F(64), k=4)))
+@example((-1, hahn(BIG_P, {F(8): (BIG_P - 1,) * 2, F(9): (BIG_P - 2, 1)}, k=2)))
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(lubin_tate_args())
+def test_lubin_tate_matches_the_binary_power_oracle(args):
+    u, a = args
+    got, want = lubin_tate_act(u, a), lubin_tate_act_oracle(u, a)
+    assert got.terms == want.terms and got.cap == want.cap
+
+
 def test_lubin_tate_zero_and_unit_valuation():
     zero = hahn_zero(3)
     assert lubin_tate_act(2, zero).is_zero()
@@ -726,6 +792,34 @@ def test_non_prime_p_and_oversized_witt_degree_rejected():
     # the largest expansions still accepted at lengths 3 and 2
     assert len(witt_universal(7, 3)[0]) == 3
     assert len(witt_universal(113, 2)[0]) == 2
+
+
+def _lift(p, N):
+    return teichmueller_lift(monomial(p, F(1), cap=F(4), k=2), N)
+
+
+@pytest.mark.parametrize("call,error,message", [
+    (lambda: hahn_add(monomial(2, F(1)), monomial(3, F(1))), TiltError, "mixed coefficient fields"),
+    (lambda: hahn_mul(monomial(2, F(1), k=2), monomial(2, F(1), k=3)), TiltError,
+     "mixed coefficient fields"),
+    (lambda: evaluate_series(artin_hasse(2, 8, 4), monomial(3, F(1))), TiltError,
+     "series and argument primes differ"),
+    (lambda: witt_add(_lift(2, 2), _lift(3, 2)), TiltError, "mixed primes in Witt arithmetic"),
+    (lambda: witt_mul(_lift(2, 2), _lift(2, 3)), TiltError, "mixed Witt lengths"),
+    (lambda: hahn_zero(2).leading(), TiltError, "zero series has no leading term"),
+    (lambda: hahn_inv(hahn_zero(2)), ZeroDivisionError, "inverse of the zero series"),
+    (lambda: coeff_field(2, 0), TiltError, "bad coefficient field degree k=0"),
+    (lambda: artin_hasse(2, 0, 4), TiltError, "max_degree must be >= 1"),
+    (lambda: witt_universal(2, 4), TiltError, "Witt length 4 > 3 unsupported"),
+    # witt_universal refuses the length for every Witt operation
+    (lambda: witt_add(*[WittExpansion(2, (hahn_zero(2),) * 4)] * 2), TiltError,
+     "Witt length 4 > 3 unsupported"),
+], ids=["add-fields", "mul-fields", "eval-primes", "witt-primes", "witt-lengths",
+        "zero-leading", "zero-inverse", "field-degree", "ah-degree", "witt-universal-length",
+        "witt-op-length"])
+def test_library_contracts_name_the_violation(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
 
 
 def test_teichmueller_rejects_negative_valuation():
