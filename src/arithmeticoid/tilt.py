@@ -339,13 +339,12 @@ def _slots(fld: CoeffField, W: int):
 
 def _series_mul(fld: CoeffField, x, y, top: int):
     """The nonzero terms of x·y below top, increasing; x, y and the result are
-    lists of (int exponent, k residues), y's exponents increasing.
+    lists of (int exponent, k residues), x and y nonempty, y's exponents
+    increasing.
 
     Each sum of products is reduced once.  An exponent of x meets at most one
     of y in a sum, so a slot of it is at most min(|x|, |y|)·k·(p−1)².
     """
-    if not x or not y:
-        return []
     pack, reduce = _slots(fld, (min(len(x), len(y)) * fld.k * (fld.p - 1) ** 2).bit_length())
     ys = [(e, pack(c)) for e, c in y]
     sums: dict = {}
@@ -370,7 +369,9 @@ def _power_sum(fld: CoeffField, coeffs, base, top: int):
     acc = {0: coeffs[0]}  # packed, reduced only at the end
     power = [(0, fld.one)]
     for c in coeffs[1:]:
-        power = _series_mul(fld, power, base, top)  # [] once past the cap
+        power = _series_mul(fld, power, base, top)
+        if not power:  # wholly past the cap, and an empty operand would give W = 0
+            break
         if c:
             for e, x in power:
                 acc[e] = acc.get(e, 0) + pack(x) * c
