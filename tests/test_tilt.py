@@ -639,13 +639,15 @@ def lubin_tate_args(draw):
 # Powers b^j of a digit's b = a^(p^i) fall wholly past the cap: b^2 = t^80
 # at p = 3, and b^128 at p = 997 from t^(1/2).  At p = 2, a^4 keeps only its
 # lead t^62 below the cap, and a^8 would lie wholly past it, but the digits
-# stop before it.  u = -1 puts every digit at p - 1, and past 2^32 one
-# coefficient product passes 2^64.
+# stop before it.  u = -1 puts every digit at p - 1.  With every coefficient
+# p - 1, slots near their bound min(|x|, |y|)·k·(p-1)^2: in b^2 at t^17 past
+# 2^32, where one product passes 2^64, and in the running product at p = 5.
 @example((2, monomial(3, F(40))))
 @example((-1, hahn(2, {F(31, 2): 1, F(40): 1})))
 @example((-1, hahn(997, {F(1, 2): (1, 996), F(7, 2): (5, 0)}, k=2)))
 @example((-1, monomial(997, F(1), cap=F(64), k=4)))
-@example((-1, hahn(BIG_P, {F(8): (BIG_P - 1,) * 2, F(9): (BIG_P - 2, 1)}, k=2)))
+@example((-1, hahn(BIG_P, {F(8): (BIG_P - 1,) * 2, F(9): (BIG_P - 1,) * 2}, k=2)))
+@example((-1, hahn(5, {e: (4,) * 4 for e in (F(1), F(3, 2), F(2), F(5, 2))}, k=4)))
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(lubin_tate_args())
 def test_lubin_tate_matches_the_binary_power_oracle(args):
