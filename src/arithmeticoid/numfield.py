@@ -710,10 +710,7 @@ def ord(x: FieldElement, v: Place) -> int:
     # split: evaluate u + w*r at the Hensel root for this conjugate index
     k = norm_val + 1
     r = _hensel_root(x.field, p, v.conjugate_index, k)
-    t = (u + w * r) % (p ** k)
-    if t == 0:
-        raise FieldError("split valuation exceeded its norm bound")  # unreachable for x != 0
-    return shift + _int_valuation(t, p)
+    return shift + _int_valuation((u + w * r) % (p ** k), p)
 
 
 def _log_fraction(q: Fraction) -> float:

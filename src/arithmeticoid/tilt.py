@@ -13,12 +13,13 @@ p^(precision + v_p(D!)), D the degree, not on Fractions: its coefficients are
 p-integral, each division by p^k in the recurrence costs at most k digits, and
 along any chain of indices <= D those costs add up to at most v_p(D!).
 
-`evaluate_series`, `lubin_tate_act` and `hahn_inv` run on one packed integer
-kernel (`_slots`): exponents are ints over one common denominator (`_scaled`),
-and each F_{p^k} coefficient is one int of k W-bit slots, reduced once per
-output exponent.  The first two share one series product (`_series_mul`) and
-one sum of powers (`_power_sum`); each product, sum or inversion chooses W
-from the largest sum a slot of it can hold, so no slot carries into the next.
+`hahn_mul`, `evaluate_series`, `lubin_tate_act` and `hahn_inv` run on one
+packed integer kernel (`_slots`): exponents are ints over one common
+denominator (`_scaled`), and each F_{p^k} coefficient is one int of k W-bit
+slots, reduced once per output exponent.  The first three share one series
+product (`_series_mul`), and `evaluate_series` and `lubin_tate_act` one sum
+of powers (`_power_sum`); each product, sum or inversion chooses W from the
+largest sum a slot of it can hold, so no slot carries into the next.
 """
 
 from __future__ import annotations
@@ -271,19 +272,15 @@ def _val_or_cap(x: HahnSeries) -> Fraction:
 
 
 def hahn_mul(x: HahnSeries, y: HahnSeries) -> HahnSeries:
+    """x·y below min(cap(x) + valuation(y), cap(y) + valuation(x)), one
+    `_series_mul` over a common denominator."""
     _check_compatible(x, y)
-    fld = x.field
     cap = min(x.cap + _val_or_cap(y), y.cap + _val_or_cap(x))
-    acc: dict = {}
-    for ex, cx in x.terms:
-        for ey, cy in y.terms:
-            e = ex + ey
-            if e >= cap:
-                continue
-            c = fld.mul(cx, cy)
-            prev = acc.get(e)
-            acc[e] = fld.add(prev, c) if prev is not None else c
-    return hahn(x.p, acc, cap, x.k)
+    if x.is_zero() or y.is_zero():
+        return HahnSeries(x.p, x.k, (), cap)
+    L, top = _scaled(cap, [e for e, _ in x.terms + y.terms])
+    terms = _series_mul(x.field, _ints(x.terms, L), _ints(y.terms, L), top)
+    return HahnSeries(x.p, x.k, tuple((Fraction(e, L), tuple(c)) for e, c in terms), cap)
 
 
 def hahn_pow(x: HahnSeries, n: int) -> HahnSeries:
@@ -647,7 +644,8 @@ def _check_witt_pair(x: WittExpansion, y: WittExpansion):
 
 
 def _eval_witt_poly(terms, xs, ys, p, k, cap):
-    """Evaluate an integer polynomial term list on Hahn components in char p."""
+    """Evaluate an integer polynomial term list on Hahn components in char p,
+    below cap or the lower cap its products reach."""
     vals = list(xs) + list(ys)
     power_cache: dict = {}
 
@@ -668,7 +666,7 @@ def _eval_witt_poly(terms, xs, ys, p, k, cap):
                 factor = var_pow(i, e)
                 term = factor if term is None else hahn_mul(term, factor)
         acc = hahn_add(acc, hahn_scale(term, c))
-    return hahn(p, dict(acc.terms), cap, k)
+    return acc
 
 
 def _common_cap(x: WittExpansion, y: WittExpansion | None = None) -> Fraction:
@@ -728,16 +726,13 @@ def witt_one(p: int, N: int, cap=DEFAULT_CAP, k: int = DEFAULT_K) -> WittExpansi
     return teichmueller_lift(hahn_one(p, cap, k), N)
 
 
-def witt_int(c: int, p: int, N: int, cap=DEFAULT_CAP, k: int = DEFAULT_K) -> WittExpansion:
-    """c * 1 in the Witt ring by repeated addition; intended for small |c|."""
-    one = witt_one(p, N, cap, k)
-    zero = WittExpansion(p, tuple(hahn_zero(p, cap, k) for _ in range(N)))
-    acc = zero
-    for _ in range(abs(c)):
-        acc = witt_add(acc, one)
-    return witt_neg(acc) if c < 0 else acc
-
-
 def primitive_element(a: HahnSeries, N: int) -> WittExpansion:
-    """[a] - p, the degree-one primitive element attached to a."""
-    return witt_add(teichmueller_lift(a, N), witt_int(-a.p, a.p, N, a.cap, a.k))
+    """[a] - p, the degree-one primitive element attached to a.
+
+    Over a ring of characteristic p, p = V(F(1)) = V(1) (Serre, Local Fields,
+    II §6), so -p = V(-1) = (0, m_0, ..., m_{N-2}) with m = -1.
+    """
+    lift = teichmueller_lift(a, N)
+    m = witt_neg(witt_one(a.p, N, a.cap, a.k)).components
+    zero = hahn_zero(a.p, a.cap, a.k)
+    return witt_add(lift, WittExpansion(a.p, tuple(m[n - 1] if n else zero for n in range(N))))

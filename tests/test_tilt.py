@@ -8,8 +8,10 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from arithmeticoid.numfield import power
 from arithmeticoid.tilt import (
     DEFAULT_K,
+    MAX_WITT_DEGREE,
     TiltError,
     WittExpansion,
     ZpSeries,
@@ -31,7 +33,6 @@ from arithmeticoid.tilt import (
     primitive_element,
     teichmueller_lift,
     witt_add,
-    witt_int,
     witt_mul,
     witt_neg,
     witt_one,
@@ -50,6 +51,35 @@ def hahn_eq(x, y) -> bool:
     cap = min(x.cap, y.cap)
     return (tuple((e, c) for e, c in x.terms if e < cap)
             == tuple((e, c) for e, c in y.terms if e < cap))
+
+
+def hahn_mul_oracle(x, y):
+    """x·y by one CoeffField.mul per pair of terms on Fraction exponents,
+    below min(cap(x) + valuation(y), cap(y) + valuation(x))."""
+    assert (x.p, x.k) == (y.p, y.k), "mixed coefficient fields"
+    fld = x.field
+    vx = x.cap if x.is_zero() else x.valuation()
+    vy = y.cap if y.is_zero() else y.valuation()
+    cap = min(x.cap + vy, y.cap + vx)
+    acc: dict = {}
+    for ex, cx in x.terms:
+        for ey, cy in y.terms:
+            e = ex + ey
+            if e >= cap:
+                continue
+            c = fld.mul(cx, cy)
+            prev = acc.get(e)
+            acc[e] = fld.add(prev, c) if prev is not None else c
+    return hahn(x.p, acc, cap, x.k)
+
+
+def witt_int_oracle(c, p, N, cap, k):
+    """c·1 in the Witt ring by |c| additions of 1, then a negation for c < 0."""
+    one = witt_one(p, N, cap, k)
+    acc = WittExpansion(p, tuple(hahn_zero(p, cap, k) for _ in range(N)))
+    for _ in range(abs(c)):
+        acc = witt_add(acc, one)
+    return witt_neg(acc) if c < 0 else acc
 
 
 def oracle_artin_hasse(p, max_degree):
@@ -108,8 +138,8 @@ def oracle_ghost(p, vec):
 
 
 def evaluate_series_oracle(s, a):
-    """sum (c_n mod p) a^n by repeated hahn_mul on Fraction exponents and
-    coefficient tuples."""
+    """sum (c_n mod p) a^n by repeated hahn_mul_oracle on Fraction exponents
+    and coefficient tuples."""
     if s.p != a.p:
         raise TiltError("series and argument primes differ")
     fld = a.field
@@ -124,7 +154,7 @@ def evaluate_series_oracle(s, a):
     acc = {F(0): s.coeffs[0]}
     a_n = hahn_one(a.p, cap, a.k)
     for n in range(1, s.max_degree + 1):
-        a_n = hahn_mul(a_n, a)
+        a_n = hahn_mul_oracle(a_n, a)
         if a_n.is_zero():
             break
         c = fld.from_int(s.coeffs[n])
@@ -135,8 +165,8 @@ def evaluate_series_oracle(s, a):
 
 
 def hahn_inv_oracle(x):
-    """Geometric-series inverse off the leading term by repeated hahn_mul and
-    hahn_add, truncated at the cap."""
+    """Geometric-series inverse off the leading term by repeated
+    hahn_mul_oracle and hahn_add, truncated at the cap."""
     if x.is_zero():
         raise ZeroDivisionError("inverse of the zero series")
     fld = x.field
@@ -153,7 +183,7 @@ def hahn_inv_oracle(x):
         vu = u.valuation()
         n = 1
         while n * vu < rel_cap:
-            term = hahn_mul(term, step)
+            term = hahn_mul_oracle(term, step)
             if term.is_zero():
                 break
             geo = hahn_add(geo, term)
@@ -164,8 +194,8 @@ def hahn_inv_oracle(x):
 
 def lubin_tate_act_oracle(u, a):
     """[u](a) = (1+a)^u - 1 on Fraction exponents: 1 + a^(p^i), refolded at the
-    cap, raised to each base-p digit of u by binary hahn_pow, and the
-    factors multiplied by hahn_mul."""
+    cap, raised to each base-p digit of u by a binary power over
+    hahn_mul_oracle, and the factors multiplied by it."""
     p = a.p
     if a.is_zero():
         return a
@@ -185,7 +215,7 @@ def lubin_tate_act_oracle(u, a):
     for _ in range(precision):
         digits_src, d = divmod(digits_src, p)
         if d:
-            out = hahn_mul(out, hahn_pow(base, d))
+            out = hahn_mul_oracle(out, power(base, d, hahn_mul_oracle, one))
         base = frobenius(base)
         base = hahn(p, dict(base.terms), cap, a.k)  # refold under the working cap
     return hahn_add(out, hahn_neg(one))
@@ -291,6 +321,35 @@ def test_monomial_product():
     x = monomial(3, F(1, 2))
     y = monomial(3, F(1, 3))
     assert hahn_mul(x, y).valuation() == F(5, 6)
+
+
+CAPS = [F(64), F(33, 2), F(100, 7)]
+
+
+@st.composite
+def series_pairs(draw):
+    """Two series of 0-4 terms over F_{p^k}: exponents from -2 to 24 over
+    denominators <= 7, so a product can pass the cap, which is 64, 33/2 or
+    100/7 for each."""
+    p = draw(st.sampled_from([2, 3, 5, 7, 13, 997]))
+    k = draw(st.integers(1, 4))
+    coeff = st.lists(st.integers(0, p - 1), min_size=k, max_size=k).map(tuple)
+    exponent = st.integers(1, 7).flatmap(
+        lambda d: st.builds(F, st.integers(-2 * d, 24 * d), st.just(d)))
+    x, y = (hahn(p, draw(st.dictionaries(exponent, coeff, max_size=4)),
+                 draw(st.sampled_from(CAPS)), k) for _ in range(2))
+    return x, y
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(series_pairs())
+@example((hahn(3, {F(-1): 1, F(63): 1}, k=1),) * 2)
+@example((hahn(7, {F(0): 1, F(33, 4): 2}, F(33, 2), 2),) * 2)  # t^(33/2) is at the cap
+@example((hahn_zero(997, F(33, 2), 4), monomial(997, F(-3, 7), (1, 2, 3, 4), F(100, 7), 4)))
+def test_hahn_mul_matches_the_pairwise_oracle(xy):
+    x, y = xy
+    got, want = hahn_mul(x, y), hahn_mul_oracle(x, y)
+    assert got.terms == want.terms and got.cap == want.cap
 
 
 def test_geometric_inverse():
@@ -483,6 +542,16 @@ def test_evaluate_matches_the_oracle_where_a_slot_is_nearly_full(p, k, D, exps):
     a = hahn(p, {e: (p - 1,) * k for e in exps}, k=k)
     s = ZpSeries(p, 1, D, (p - 1,) * (D + 1))
     got, want = evaluate_series(s, a), evaluate_series_oracle(s, a)
+    assert got.terms == want.terms and got.cap == want.cap
+
+
+# Four terms of coefficient p - 1 each: the sum for t^5 in x^2 holds four
+# products, at k = 1 exactly the slot bound min(|x|, |y|)·k·(p-1)^2, and at
+# p = BIG_P one product passes 2^64.
+@pytest.mark.parametrize("p,k", [(BIG_P, 1), (BIG_P, 2), (997, 4)])
+def test_hahn_mul_matches_the_oracle_where_a_slot_reaches_its_bound(p, k):
+    x = hahn(p, {F(e): (p - 1,) * k for e in (1, 2, 3, 4)}, F(9), k)
+    got, want = hahn_mul(x, x), hahn_mul_oracle(x, x)
     assert got.terms == want.terms and got.cap == want.cap
 
 
@@ -765,9 +834,32 @@ def test_primitive_element_shape():
     for p in (2, 3):
         a = monomial(p, F(1, 2), cap=F(4), k=4)
         xi = primitive_element(a, 3)
-        back = witt_add(xi, witt_int(p, p, 3, F(4), 4))
+        back = witt_add(xi, witt_int_oracle(p, p, 3, F(4), 4))
         ta = teichmueller_lift(a, 3)
         assert all(hahn_eq(u, v) for u, v in zip(back.components, ta.components))
+
+
+@pytest.mark.parametrize("p,N", [(p, N) for p in (2, 3, 5, 7, 11) for N in (1, 2, 3)
+                                 if p ** (N - 1) <= MAX_WITT_DEGREE])
+def test_primitive_element_matches_repeated_addition(p, N):
+    a = hahn(p, {F(1, 2): 1, F(5, 3): (1, 1)}, F(3), 2)
+    got = primitive_element(a, N)
+    want = witt_add(teichmueller_lift(a, N), witt_int_oracle(-a.p, p, N, a.cap, a.k))
+    assert got.components == want.components
+
+
+@pytest.mark.parametrize("x,y", [
+    # t^-1·t^63 lands below the cap 64 but past the product's cap 63
+    (hahn(3, {F(-1): 1, F(63): 1}, k=1),) * 2,
+    (hahn(5, {F(-1, 2): (1, 2), F(5): 3}, F(33, 2), 2),
+     hahn(5, {F(1, 3): 4, F(7): (0, 1)}, F(100, 7), 2)),
+    (hahn_zero(2, F(5), 3), monomial(2, F(-2), k=3)),
+], ids=["past-the-product-cap", "mixed-caps", "zero-operand"])
+def test_length_one_witt_ops_are_the_series_ops(x, y):
+    # S_0 = X_0 + Y_0 and P_0 = X_0·Y_0, so the series, caps included
+    wx, wy = WittExpansion(x.p, (x,)), WittExpansion(y.p, (y,))
+    assert witt_add(wx, wy).components == (hahn_add(x, y),)
+    assert witt_mul(wx, wy).components == (hahn_mul(x, y),)
 
 
 def test_witt_one_is_identity():
