@@ -323,9 +323,6 @@ def test_monomial_product():
     assert hahn_mul(x, y).valuation() == F(5, 6)
 
 
-CAPS = [F(64), F(33, 2), F(100, 7)]
-
-
 @st.composite
 def series_pairs(draw):
     """Two series of 0-4 terms over F_{p^k}: exponents from -2 to 24 over
@@ -336,9 +333,9 @@ def series_pairs(draw):
     coeff = st.lists(st.integers(0, p - 1), min_size=k, max_size=k).map(tuple)
     exponent = st.integers(1, 7).flatmap(
         lambda d: st.builds(F, st.integers(-2 * d, 24 * d), st.just(d)))
-    x, y = (hahn(p, draw(st.dictionaries(exponent, coeff, max_size=4)),
-                 draw(st.sampled_from(CAPS)), k) for _ in range(2))
-    return x, y
+    return tuple(hahn(p, draw(st.dictionaries(exponent, coeff, max_size=4)),
+                      draw(st.sampled_from([F(64), F(33, 2), F(100, 7)])), k)
+                 for _ in range(2))
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
